@@ -13,6 +13,7 @@ these invariants over all tags certifies inequivalence of two bases.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,10 +31,14 @@ from .combinatorics import (
     latin_inverse,
     latin_twill,
 )
-from .config import DEFAULT_TOLS
+from .config import tols
 from .errors import InvariantError
 from .linalg import (
     as_square_matrix,
+    bipartite_dim,
+    eigen_sort_key,
+    gram_deviation,
+    multiplicity_partition,
     round_unit_angle,
     simul_diag,
     unit_spectrum_angles,
@@ -95,12 +100,11 @@ class UnitaryBasis:
     provenance: Provenance
 
 
-def _check_hs_family(labels, operators, d, what, orthogonality_tol, target_diag):
+def _check_hs_family(labels, operators, d, what):
     v = np.stack([operators[x] for x in labels]).reshape(len(labels), d * d)
-    gram = v.conj() @ v.T
-    dev = np.abs(gram - target_diag * np.eye(len(labels)))
+    dev = gram_deviation(v, float(d))
     worst = np.unravel_index(np.argmax(dev), dev.shape)
-    if dev[worst] > orthogonality_tol:
+    if dev[worst] > tols().orthogonality:
         a, b = labels[worst[0]], labels[worst[1]]
         raise InvariantError(
             f"{what}: trace orthogonality fails for pair ({a}, {b}): "
@@ -108,31 +112,25 @@ def _check_hs_family(labels, operators, d, what, orthogonality_tol, target_diag)
         )
 
 
-def unitary_basis(
-    labels,
-    operators: dict[str, np.ndarray],
-    provenance: Provenance,
-    unitarity_tol: float | None = None,
-    orthogonality_tol: float | None = None,
-) -> UnitaryBasis:
+def unitary_basis(labels, operators: dict[str, np.ndarray], provenance: Provenance) -> UnitaryBasis:
     """Assemble and verify a unitary basis (unitarity and HS orthogonality)."""
     labels = tuple(labels)
+    if not labels:
+        raise ValueError("a unitary basis needs at least one label")
     if len(set(labels)) != len(labels):
         raise ValueError("duplicate labels")
     ops = {x: as_square_matrix(operators[x], f"operator {x}") for x in labels}
     d = ops[labels[0]].shape[0]
     if len(labels) != d * d:
         raise InvariantError(f"a unitary basis on C^{d} needs {d * d} members, got {len(labels)}")
-    utol = DEFAULT_TOLS.unitarity if unitarity_tol is None else unitarity_tol
-    otol = DEFAULT_TOLS.orthogonality if orthogonality_tol is None else orthogonality_tol
     eye = np.eye(d)
     for x in labels:
         if ops[x].shape[0] != d:
             raise InvariantError(f"operator {x} has dimension {ops[x].shape[0]}, expected {d}")
         resid = np.linalg.norm(ops[x].conj().T @ ops[x] - eye)
-        if resid > utol:
+        if resid > tols().unitarity:
             raise InvariantError(f"operator {x} is not unitary: ||U*U - I||_F = {resid:.3e}")
-    _check_hs_family(labels, ops, d, "unitary basis", otol, float(d))
+    _check_hs_family(labels, ops, d, "unitary basis")
     return UnitaryBasis(d=d, labels=labels, operators=ops, provenance=provenance)
 
 
@@ -211,20 +209,19 @@ def tag_at(basis: UnitaryBasis, x0: str) -> Tag:
     w = {x: u0.conj().T @ basis.operators[x] for x in rest}
     for x in rest:
         t = abs(np.trace(w[x]))
-        if t > DEFAULT_TOLS.trace:
+        if t > tols().trace:
             raise InvariantError(f"tag at {x0}: member {x} is not traceless, |tr| = {t:.3e}")
-    _check_hs_family(rest, w, basis.d, f"tag at {x0}", DEFAULT_TOLS.orthogonality, float(basis.d))
+    _check_hs_family(rest, w, basis.d, f"tag at {x0}")
     return Tag(x0=x0, u_x0=u0, labels=rest, operators=w, d=basis.d, basis=basis)
 
 
-def twill_check(basis: UnitaryBasis, x: str, x0: str, y: str, tol: float | None = None) -> bool:
+def twill_check(basis: UnitaryBasis, x: str, x0: str, y: str) -> bool:
     """True iff ``U_x U_x0* U_y = U_y U_x0* U_x``, i.e. the tag members at x and y commute."""
-    tol = DEFAULT_TOLS.commutation if tol is None else tol
     if x == x0 or y == x0:
         return True
     ux, u0, uy = (basis.operators[z] for z in (x, x0, y))
     mid = u0.conj().T
-    return bool(np.linalg.norm(ux @ mid @ uy - uy @ mid @ ux) <= tol)
+    return bool(np.linalg.norm(ux @ mid @ uy - uy @ mid @ ux) <= tols().commutation)
 
 
 # ---------------------------------------------------------------------------
@@ -238,12 +235,22 @@ class CommutationGraph:
     mode: str
 
 
-def _numeric_adjacency(labels, operators, tol) -> np.ndarray:
+def _numeric_adjacency(labels, operators) -> np.ndarray:
     mats = np.stack([operators[x] for x in labels])
     prod = np.einsum("aij,bjk->abik", mats, mats)
     resid = np.linalg.norm(prod - prod.transpose(1, 0, 2, 3), axis=(2, 3))
-    adj = resid <= tol
+    adj = resid <= tols().commutation
     np.fill_diagonal(adj, True)
+    return adj
+
+
+def _exact_adjacency(labels, commute) -> np.ndarray:
+    pairs = [parse_pair(x) for x in labels]
+    n = len(pairs)
+    adj = np.eye(n, dtype=bool)
+    for i in range(n):
+        for j in range(i + 1, n):
+            adj[i, j] = adj[j, i] = commute(pairs[i], pairs[j])
     return adj
 
 
@@ -258,47 +265,31 @@ def _shift_multiply_data(basis: UnitaryBasis, mode: str):
     return prov.latin, prov.hadamard
 
 
-def basis_commutation_graph(
-    basis: UnitaryBasis, mode: str = "numeric", tol: float | None = None
-) -> CommutationGraph:
+def basis_commutation_graph(basis: UnitaryBasis, mode: str = "numeric") -> CommutationGraph:
     """Commutation graph on all basis labels (no tag)."""
-    tol = DEFAULT_TOLS.commutation if tol is None else tol
     if mode == "numeric":
-        adj = _numeric_adjacency(basis.labels, basis.operators, tol)
+        adj = _numeric_adjacency(basis.labels, basis.operators)
     elif mode == "exact-crisscross":
         lam, fam = _shift_multiply_data(basis, mode)
-        pairs = [parse_pair(x) for x in basis.labels]
-        n = len(pairs)
-        adj = np.eye(n, dtype=bool)
-        for i in range(n):
-            for j in range(i + 1, n):
-                ok = latin_crisscross(lam, pairs[i][1], pairs[j][1]) and hadamard_crisscross(
-                    fam, lam, pairs[i], pairs[j]
-                )
-                adj[i, j] = adj[j, i] = ok
+        adj = _exact_adjacency(basis.labels, lambda p, q: (
+            latin_crisscross(lam, p[1], q[1]) and hadamard_crisscross(fam, lam, p, q)
+        ))
     else:
         raise ValueError(f"unsupported mode {mode!r} for an untagged basis graph")
     return CommutationGraph(vertices=basis.labels, adjacency=adj, mode=mode)
 
 
-def commutation_graph(tag: Tag, mode: str = "numeric", tol: float | None = None) -> CommutationGraph:
+def commutation_graph(tag: Tag, mode: str = "numeric") -> CommutationGraph:
     """Commutation graph of the residual system of a tag."""
-    tol = DEFAULT_TOLS.commutation if tol is None else tol
     if mode == "numeric":
-        adj = _numeric_adjacency(tag.labels, tag.operators, tol)
+        adj = _numeric_adjacency(tag.labels, tag.operators)
     elif mode == "exact-twill":
         lam, fam = _shift_multiply_data(tag.basis, mode)
         mu = latin_inverse(lam)
         x0 = parse_pair(tag.x0)
-        pairs = [parse_pair(x) for x in tag.labels]
-        n = len(pairs)
-        adj = np.eye(n, dtype=bool)
-        for i in range(n):
-            for j in range(i + 1, n):
-                ok = latin_twill(lam, mu, pairs[i][1], x0[1], pairs[j][1]) and hadamard_twill(
-                    fam, lam, mu, pairs[i], x0, pairs[j]
-                )
-                adj[i, j] = adj[j, i] = ok
+        adj = _exact_adjacency(tag.labels, lambda p, q: (
+            latin_twill(lam, mu, p[1], x0[1], q[1]) and hadamard_twill(fam, lam, mu, p, x0, q)
+        ))
     else:
         raise ValueError(f"unsupported mode {mode!r} for a tag graph")
     return CommutationGraph(vertices=tag.labels, adjacency=adj, mode=mode)
@@ -353,18 +344,22 @@ def enumerate_mass(graph: CommutationGraph) -> Fan:
     return fan
 
 
-def fan_representation(
-    basis: UnitaryBasis, x0: str | None = None, mode: str = "numeric", tol: float | None = None
-) -> Fan:
+def fan_representation(basis: UnitaryBasis, x0: str | None = None, mode: str = "numeric") -> Fan:
     """Fan of the tag at x0, or of the untagged basis when x0 is None."""
     if x0 is None:
-        return enumerate_mass(basis_commutation_graph(basis, mode=mode, tol=tol))
-    return enumerate_mass(commutation_graph(tag_at(basis, x0), mode=mode, tol=tol))
+        return enumerate_mass(basis_commutation_graph(basis, mode=mode))
+    return enumerate_mass(commutation_graph(tag_at(basis, x0), mode=mode))
 
 
-def fan_system(basis: UnitaryBasis, mode: str = "numeric", tol: float | None = None) -> dict[str, Fan]:
+def fan_system(basis: UnitaryBasis, mode: str = "numeric") -> dict[str, Fan]:
     """Fan of every tag of the basis, keyed by tag label."""
-    return {x0: fan_representation(basis, x0, mode=mode, tol=tol) for x0 in basis.labels}
+    return {x0: fan_representation(basis, x0, mode=mode) for x0 in basis.labels}
+
+
+def membership_degrees(fan: Fan) -> dict[str, int]:
+    """Number of MASSes containing each label of the fan's universe."""
+    counts = Counter(itertools.chain.from_iterable(fan.masses))
+    return {x: counts[x] for x in fan.universe}
 
 
 # ---------------------------------------------------------------------------
@@ -392,12 +387,7 @@ class HadamardFan:
 
 
 def _column_order(matrix: np.ndarray) -> list[int]:
-    def key(c):
-        return tuple(
-            (round_unit_angle(z), round(float(abs(z)), 8)) for z in matrix[:, c]
-        )
-
-    return sorted(range(matrix.shape[1]), key=key)
+    return sorted(range(matrix.shape[1]), key=lambda c: eigen_sort_key(matrix[:, c]))
 
 
 def hadamard_fan(tag: Tag, fan: Fan, rng_seed: int = 0) -> HadamardFan:
@@ -423,7 +413,7 @@ def hadamard_fan(tag: Tag, fan: Fan, rng_seed: int = 0) -> HadamardFan:
         rows = rows[:, order]
         aug = aug[:, order]
         worst_sum = np.abs(rows.sum(axis=1)).max()
-        if worst_sum > DEFAULT_TOLS.row_sum:
+        if worst_sum > tols().row_sum:
             raise InvariantError(f"MASS {mass}: a diagonal row sums to {worst_sum:.3e}, not 0")
         if not is_partial_hadamard(aug):
             raise InvariantError(f"MASS {mass}: augmented diagonals are not partial Hadamard")
@@ -442,15 +432,10 @@ def canonical_hadamard_signature(h) -> tuple:
     equivalence classification is out of scope.
     """
     m = np.asarray(h, dtype=complex)
-
-    def col_sorted(a):
-        order = _column_order(a)
-        return a[:, order]
-
-    m = col_sorted(m)
+    m = m[:, _column_order(m)]
     lead = m[:, :1]
     m = m * (lead.conjugate() / np.abs(lead))
-    m = col_sorted(m)
+    m = m[:, _column_order(m)]
     row_keys = [tuple(round_unit_angle(z) for z in m[i]) for i in range(m.shape[0])]
     return tuple(sorted(row_keys))
 
@@ -480,10 +465,7 @@ def _member_spectrum(op: np.ndarray, variant: str):
     angles = unit_spectrum_angles(op)
     if variant == "cue":
         return angles
-    counts: dict[float, int] = {}
-    for a in angles:
-        counts[a] = counts.get(a, 0) + 1
-    partition = tuple(sorted(counts.values(), reverse=True))
+    partition = multiplicity_partition(angles)
     diffs = sorted(
         round_unit_angle(np.exp(1j * (a - b)))
         for a, b in itertools.permutations(angles, 2)
@@ -497,11 +479,7 @@ def fan_invariant(tag: Tag, fan: Fan, variant: str = "cue") -> FanInvariant:
     if set(fan.universe) != set(tag.labels):
         raise ValueError("fan does not belong to this tag")
     sizes = tuple(sorted(len(m) for m in fan.masses))
-    degree: dict[str, int] = {x: 0 for x in fan.universe}
-    for mass in fan.masses:
-        for x in mass:
-            degree[x] += 1
-    degrees = tuple(sorted(degree.values()))
+    degrees = tuple(sorted(membership_degrees(fan).values()))
     sets = [set(m) for m in fan.masses]
     inters = tuple(
         sorted(len(a & b) for a, b in itertools.combinations(sets, 2))
@@ -564,15 +542,11 @@ def mes_basis_to_ub(vectors) -> UnitaryBasis:
     vecs = [np.asarray(v, dtype=complex).reshape(-1) for v in vectors]
     if not vecs:
         raise ValueError("empty vector list")
-    d = round(len(vecs[0]) ** 0.5)
-    if d * d != len(vecs[0]):
-        raise ValueError("vector length is not a perfect square")
+    d = bipartite_dim(vecs[0])
     if len(vecs) != d * d:
         raise ValueError(f"need {d * d} vectors for a basis of C^{d} (x) C^{d}, got {len(vecs)}")
-    v = np.stack(vecs)
-    gram = v.conj() @ v.T
-    dev = np.abs(gram - np.eye(d * d)).max()
-    if dev > DEFAULT_TOLS.orthogonality:
+    dev = gram_deviation(np.stack(vecs), 1.0).max()
+    if dev > tols().orthogonality:
         raise ValueError(f"vectors are not orthonormal: worst Gram deviation {dev:.3e}")
     ops = {}
     labels = []
@@ -580,7 +554,7 @@ def mes_basis_to_ub(vectors) -> UnitaryBasis:
         a = vec_to_op(psi)
         sv = np.linalg.svd(a, compute_uv=False)
         spectrum = sv**2 / d
-        if np.abs(sv - 1.0).max() > DEFAULT_TOLS.schmidt:
+        if np.abs(sv - 1.0).max() > tols().schmidt:
             raise ValueError(
                 f"vector {i} is not maximally entangled: Schmidt spectrum {spectrum.round(6).tolist()}"
             )

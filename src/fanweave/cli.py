@@ -23,16 +23,30 @@ from . import combinatorics as comb
 from . import serialize as ser
 from . import tomography as tomo
 from . import ppt as ppt_mod
-from .config import DEFAULT_TOLS, RunConfig
-from .errors import InvariantError
+from .config import RunConfig, tolerances
+from .linalg import gram_deviation
 
 
-def _fail(message: str, code: int = 2):
+def _fail(message: str):
     click.echo(f"error: {message}", err=True)
-    sys.exit(code)
+    sys.exit(2)
 
 
-def _emit_report(cfg: RunConfig, report: dict) -> None:
+class _Cli(click.Group):
+    """The one error boundary: any ``ValueError`` (``InvariantError`` included) exits 2."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except ValueError as exc:
+            _fail(str(exc))
+
+
+def _emit(cfg: RunConfig, report: dict, artifact: dict | None = None) -> None:
+    """Write the artifact to ``--out`` when both are given, then print the report, seed first."""
+    if cfg.out and artifact is not None:
+        ser.write_json(cfg.out, artifact)
+    report = {"seed": cfg.seed, **report}
     if cfg.fmt == "json":
         click.echo(json.dumps(report, indent=2))
     else:
@@ -40,12 +54,7 @@ def _emit_report(cfg: RunConfig, report: dict) -> None:
             click.echo(f"{key}: {value}")
 
 
-def _write_artifact(cfg: RunConfig, obj: dict) -> None:
-    if cfg.out:
-        ser.write_json(cfg.out, obj)
-
-
-@click.group()
+@click.group(cls=_Cli)
 @click.option("--seed", type=int, default=0, envvar="FANWEAVE_SEED", show_default=True,
               help="RNG seed used by randomized steps (env fallback FANWEAVE_SEED).")
 @click.option("--tol", "tol_overrides", multiple=True, metavar="NAME=VALUE",
@@ -66,20 +75,20 @@ def main(ctx, seed, tol_overrides, fmt, out):
             overrides[name.strip()] = float(value)
         except ValueError:
             _fail(f"--tol value for {name!r} is not a number: {value!r}")
-    snapshot = DEFAULT_TOLS.snapshot()
-    try:
-        DEFAULT_TOLS.apply(overrides)
-    except ValueError as exc:
-        _fail(str(exc))
-    ctx.call_on_close(lambda: DEFAULT_TOLS.apply(snapshot))
+    ctx.with_resource(tolerances(**overrides))
     ctx.obj = RunConfig(seed=seed, fmt=fmt, out=out)
 
 
 def _load_basis(path: str) -> basis_mod.UnitaryBasis:
     try:
         return ser.basis_from_json(ser.read_json(path))
-    except (OSError, KeyError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         _fail(f"cannot load unitary basis from {path}: {exc}")
+
+
+def _tag_and_fan(built: basis_mod.UnitaryBasis, tag_label: str):
+    tag = basis_mod.tag_at(built, tag_label)
+    return tag, basis_mod.enumerate_mass(basis_mod.commutation_graph(tag))
 
 
 def _resolve_group(spec: str) -> comb.FiniteGroup:
@@ -110,59 +119,45 @@ def _resolve_group(spec: str) -> comb.FiniteGroup:
 @click.pass_obj
 def construct(cfg, kind, dim, group_spec, group_file, variant, latin_file, hadamard_spec):
     """Construct a unitary basis and write it as JSON."""
-    try:
-        if kind == "weyl":
-            if dim is None:
-                _fail("--kind weyl requires --d")
-            built = basis_mod.build_weyl(dim)
-        elif kind == "pauli2":
-            built = basis_mod.build_pauli2()
+    if kind == "weyl":
+        if dim is None:
+            _fail("--kind weyl requires --d")
+        built = basis_mod.build_weyl(dim)
+    elif kind == "pauli2":
+        built = basis_mod.build_pauli2()
+    else:
+        if latin_file:
+            lam = ser.latin_from_json(ser.read_json(latin_file))
+        elif group_file or group_spec:
+            group = ser.group_from_json(ser.read_json(group_file)) if group_file else _resolve_group(group_spec)
+            lam = comb.latin_from_group(group, variant)
         else:
-            if latin_file:
-                lam = ser.latin_from_json(ser.read_json(latin_file))
-            else:
-                if group_file:
-                    group = ser.group_from_json(ser.read_json(group_file))
-                elif group_spec:
-                    group = _resolve_group(group_spec)
-                else:
-                    _fail("--kind shift-multiply needs --latin-file or --group/--group-file")
-                lam = comb.latin_from_group(group, variant)
-            if hadamard_spec == "fourier":
-                fam = comb.fourier_family(lam.size)
-            else:
-                fam = ser.hadamard_family_from_json(ser.read_json(hadamard_spec))
-            params = {"variant": variant}
-            if group_spec:
-                params["group"] = group_spec
-            built = basis_mod.build_shift_multiply(lam, fam, params=params)
-    except (InvariantError, ValueError) as exc:
-        _fail(str(exc))
+            _fail("--kind shift-multiply needs --latin-file or --group/--group-file")
+        if hadamard_spec == "fourier":
+            fam = comb.fourier_family(lam.size)
+        else:
+            fam = ser.hadamard_family_from_json(ser.read_json(hadamard_spec))
+        params = {"variant": variant}
+        if group_spec:
+            params["group"] = group_spec
+        built = basis_mod.build_shift_multiply(lam, fam, params=params)
     ops = np.stack([built.operators[x] for x in built.labels]).reshape(len(built.labels), -1)
-    gram = ops.conj() @ ops.T
-    gram_dev = float(np.abs(gram - built.d * np.eye(len(built.labels))).max())
-    _write_artifact(cfg, ser.basis_to_json(built))
-    _emit_report(cfg, {
-        "seed": cfg.seed,
+    gram_dev = float(gram_deviation(ops, built.d).max())
+    _emit(cfg, {
         "kind": kind,
         "d": built.d,
         "elements": len(built.labels),
         "gram_check_max_deviation": gram_dev,
         "out": cfg.out or "(not written)",
-    })
+    }, ser.basis_to_json(built))
 
 
 def _fan_summary(fan: basis_mod.Fan) -> dict:
-    sizes = sorted(len(m) for m in fan.masses)
-    degree: dict[str, int] = {}
-    for mass in fan.masses:
-        for x in mass:
-            degree[x] = degree.get(x, 0) + 1
-    overlaps = {x: c for x, c in sorted(degree.items()) if c > 1}
+    degrees = basis_mod.membership_degrees(fan)
     return {
         "mass_count": len(fan.masses),
-        "size_multiset": sizes,
-        "overlap_degrees": overlaps,
+        "size_multiset": sorted(len(m) for m in fan.masses),
+        "overlap_degrees": {x: c for x, c in sorted(degrees.items()) if c > 1},
     }
 
 
@@ -183,33 +178,22 @@ def fans(cfg, basis_file, tag_label, all_tags, untagged, mode, dot_path):
         _fail("choose exactly one of --tag, --all-tags, --untagged")
     if dot_path and all_tags:
         _fail("--dot is only supported for a single fan (--tag or --untagged)")
-    try:
-        if untagged:
-            fan = basis_mod.fan_representation(built, None, mode=mode)
-            report = {"seed": cfg.seed, "scope": "untagged", **_fan_summary(fan)}
-            _write_artifact(cfg, ser.fan_to_json(fan))
-            if dot_path:
-                with open(dot_path, "w", encoding="utf-8") as fh:
-                    fh.write(ser.fan_to_dot(fan))
-        elif all_tags:
-            system = basis_mod.fan_system(built, mode=mode)
-            report = {
-                "seed": cfg.seed,
-                "scope": "all-tags",
-                "tags": len(system),
-                "mass_counts": {x0: len(f.masses) for x0, f in system.items()},
-            }
-            _write_artifact(cfg, {"fans": {x0: ser.fan_to_json(f) for x0, f in system.items()}})
-        else:
-            fan = basis_mod.fan_representation(built, tag_label, mode=mode)
-            report = {"seed": cfg.seed, "scope": f"tag {tag_label}", **_fan_summary(fan)}
-            _write_artifact(cfg, ser.fan_to_json(fan))
-            if dot_path:
-                with open(dot_path, "w", encoding="utf-8") as fh:
-                    fh.write(ser.fan_to_dot(fan))
-    except (InvariantError, ValueError) as exc:
-        _fail(str(exc))
-    _emit_report(cfg, report)
+    if all_tags:
+        system = basis_mod.fan_system(built, mode=mode)
+        report = {
+            "scope": "all-tags",
+            "tags": len(system),
+            "mass_counts": {x0: len(f.masses) for x0, f in system.items()},
+        }
+        artifact = {"fans": {x0: ser.fan_to_json(f) for x0, f in system.items()}}
+    else:
+        fan = basis_mod.fan_representation(built, tag_label, mode=mode)
+        report = {"scope": "untagged" if untagged else f"tag {tag_label}", **_fan_summary(fan)}
+        artifact = ser.fan_to_json(fan)
+        if dot_path:
+            with open(dot_path, "w", encoding="utf-8") as fh:
+                fh.write(ser.fan_to_dot(fan))
+    _emit(cfg, report, artifact)
 
 
 @main.command()
@@ -220,13 +204,8 @@ def fans(cfg, basis_file, tag_label, all_tags, untagged, mode, dot_path):
 @click.pass_obj
 def compare(cfg, file_a, file_b, variant):
     """Compare two bases; exit code 3 when certified inequivalent."""
-    a = _load_basis(file_a)
-    b = _load_basis(file_b)
-    try:
-        verdict = basis_mod.compare_ub(a, b, variant=variant)
-    except (InvariantError, ValueError) as exc:
-        _fail(str(exc))
-    _emit_report(cfg, {"seed": cfg.seed, "variant": variant, "verdict": verdict.upper()})
+    verdict = basis_mod.compare_ub(_load_basis(file_a), _load_basis(file_b), variant=variant)
+    _emit(cfg, {"variant": variant, "verdict": verdict.upper()})
     if verdict == basis_mod.INEQUIVALENT:
         sys.exit(3)
 
@@ -237,22 +216,15 @@ def compare(cfg, file_a, file_b, variant):
 @click.pass_obj
 def mub(cfg, basis_file, tag_label):
     """Mutually unbiased bases from a fan that partitions the tag system."""
-    built = _load_basis(basis_file)
-    try:
-        tag = basis_mod.tag_at(built, tag_label)
-        fan = basis_mod.fan_representation(built, tag_label)
-        system = tomo.mub_from_partition(tag, fan.masses, rng_seed=cfg.seed)
-        deviation = tomo.mub_unbiasedness_deviation(system.bases, system.d)
-    except (InvariantError, ValueError) as exc:
-        _fail(str(exc))
-    _write_artifact(cfg, ser.mub_to_json(system))
-    _emit_report(cfg, {
-        "seed": cfg.seed,
+    tag, fan = _tag_and_fan(_load_basis(basis_file), tag_label)
+    system = tomo.mub_from_partition(tag, fan.masses, rng_seed=cfg.seed)
+    deviation = tomo.mub_unbiasedness_deviation(system.bases, system.d)
+    _emit(cfg, {
         "d": system.d,
         "bases": len(system.bases),
         "unbiasedness_deviation": deviation,
         "out": cfg.out or "(not written)",
-    })
+    }, ser.mub_to_json(system))
 
 
 @main.command()
@@ -264,42 +236,34 @@ def mub(cfg, basis_file, tag_label):
 @click.pass_obj
 def povm(cfg, basis_file, tag_label, strategy, hub_label):
     """Pure POVM from the fan of a tag (crude cover-based or hub-refined)."""
-    built = _load_basis(basis_file)
-    try:
-        tag = basis_mod.tag_at(built, tag_label)
-        fan = basis_mod.fan_representation(built, tag_label)
-        cover = tomo.minimal_cover(fan)
-        if strategy == "crude":
-            measure = tomo.crude_povm(tag, cover, rng_seed=cfg.seed)
-        else:
-            if hub_label is None:
-                _fail("--strategy refined requires --hub")
-            measure = tomo.refined_povm(tag, fan, hub_label, rng_seed=cfg.seed)
-        complete, rank = tomo.is_info_complete(measure)
-        d = measure.d
-        sum_residual = float(np.linalg.norm(sum(measure.elements) - np.eye(d)))
-        min_eig = min(
-            float(np.linalg.eigvalsh((e + e.conj().T) / 2).min()) for e in measure.elements
-        )
-        report = {
-            "seed": cfg.seed,
-            "strategy": strategy,
-            "outcomes": len(measure),
-            "pure_outcomes": measure.n_pure,
-            "complete": complete,
-            "rank": rank,
-            "cover_size": len(cover.selected),
-            "crude_size_bound": (d - 1) * len(cover.selected) + 1,
-            "s_bound": tomo.s_bound(d) if d >= 3 else None,
-            "refined_bound": tomo.refined_bound(d, len(cover.selected)),
-            "sum_residual": sum_residual,
-            "min_element_eigenvalue": min_eig,
-            "out": cfg.out or "(not written)",
-        }
-    except (InvariantError, ValueError) as exc:
-        _fail(str(exc))
-    _write_artifact(cfg, ser.povm_to_json(measure))
-    _emit_report(cfg, report)
+    tag, fan = _tag_and_fan(_load_basis(basis_file), tag_label)
+    cover = tomo.minimal_cover(fan)
+    if strategy == "crude":
+        measure = tomo.crude_povm(tag, cover, rng_seed=cfg.seed)
+    else:
+        if hub_label is None:
+            _fail("--strategy refined requires --hub")
+        measure = tomo.refined_povm(tag, cover, hub_label, rng_seed=cfg.seed)
+    complete, rank = tomo.is_info_complete(measure)
+    d = measure.d
+    sum_residual = float(np.linalg.norm(sum(measure.elements) - np.eye(d)))
+    min_eig = min(
+        float(np.linalg.eigvalsh((e + e.conj().T) / 2).min()) for e in measure.elements
+    )
+    _emit(cfg, {
+        "strategy": strategy,
+        "outcomes": len(measure),
+        "pure_outcomes": measure.n_pure,
+        "complete": complete,
+        "rank": rank,
+        "cover_size": len(cover.selected),
+        "crude_size_bound": (d - 1) * len(cover.selected) + 1,
+        "s_bound": tomo.s_bound(d) if d >= 3 else None,
+        "refined_bound": tomo.refined_bound(d, len(cover.selected)),
+        "sum_residual": sum_residual,
+        "min_element_eigenvalue": min_eig,
+        "out": cfg.out or "(not written)",
+    }, ser.povm_to_json(measure))
 
 
 @main.command("ppt")
@@ -310,15 +274,10 @@ def povm(cfg, basis_file, tag_label, strategy, hub_label):
 @click.pass_obj
 def ppt_cmd(cfg, outer, half_dim, shift, zero_tuple):
     """Build a PPT matrix certificate from a skew-Hamiltonian block tuple."""
-    try:
-        cert = ppt_mod.build_ppt(outer, rng_seed=cfg.seed, half_dim=half_dim,
-                                 shift=shift, zero_tuple=zero_tuple)
-        structural = ppt_mod.blockwise_transpose_conjugation_residual(cert)
-    except (InvariantError, ValueError) as exc:
-        _fail(str(exc))
-    _write_artifact(cfg, ser.certificate_to_json(cert))
-    _emit_report(cfg, {
-        "seed": cfg.seed,
+    cert = ppt_mod.build_ppt(outer, rng_seed=cfg.seed, half_dim=half_dim,
+                             shift=shift, zero_tuple=zero_tuple)
+    structural = ppt_mod.blockwise_transpose_conjugation_residual(cert)
+    _emit(cfg, {
         "n": cert.n,
         "block_half_dim": cert.block_half_dim,
         "shift_a": cert.shift_a,
@@ -326,7 +285,7 @@ def ppt_cmd(cfg, outer, half_dim, shift, zero_tuple):
         "lambda_min_pt": cert.lambda_min_pt,
         "structural_residual": structural,
         "out": cfg.out or "(not written)",
-    })
+    }, ser.certificate_to_json(cert))
 
 
 @main.command("hadamard-fan")
@@ -335,34 +294,14 @@ def ppt_cmd(cfg, outer, half_dim, shift, zero_tuple):
 @click.pass_obj
 def hadamard_fan_cmd(cfg, basis_file, tag_label):
     """Per-MASS diagonalizers and partial Hadamard matrices of a tag fan."""
-    built = _load_basis(basis_file)
-    try:
-        tag = basis_mod.tag_at(built, tag_label)
-        fan = basis_mod.fan_representation(built, tag_label)
-        hfan = basis_mod.hadamard_fan(tag, fan, rng_seed=cfg.seed)
-    except (InvariantError, ValueError) as exc:
-        _fail(str(exc))
-    payload = {
-        "d": hfan.d,
-        "seed": cfg.seed,
-        "masses": [
-            {
-                "mass": list(entry.mass),
-                "diagonalizer": ser.matrix_to_json(entry.diagonalizer),
-                "rows": ser.rect_to_json(entry.rows),
-                "augmented": ser.rect_to_json(entry.augmented),
-            }
-            for entry in hfan.entries
-        ],
-    }
-    _write_artifact(cfg, payload)
-    _emit_report(cfg, {
-        "seed": cfg.seed,
+    tag, fan = _tag_and_fan(_load_basis(basis_file), tag_label)
+    hfan = basis_mod.hadamard_fan(tag, fan, rng_seed=cfg.seed)
+    _emit(cfg, {
         "masses": len(hfan.entries),
         "row_counts": [entry.rows.shape[0] for entry in hfan.entries],
         "all_partial_hadamard": True,
         "out": cfg.out or "(not written)",
-    })
+    }, ser.hadamard_fan_to_json(hfan, cfg.seed))
 
 
 if __name__ == "__main__":

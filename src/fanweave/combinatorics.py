@@ -3,8 +3,8 @@ criss-cross / twill predicates that govern commutation in shift-and-multiply
 bases.
 
 Predicates run in exact arithmetic whenever the Hadamard family carries
-root-of-unity exponents (integers modulo a common order), and fall back to a
-modulus comparison at 1e-9 otherwise.
+root-of-unity exponents (integers modulo a common order), and otherwise fall
+back to an entrywise comparison within the ``commutation`` tolerance.
 """
 
 from __future__ import annotations
@@ -13,9 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import DEFAULT_TOLS
-
-_FLOAT_PREDICATE_TOL = 1e-9
+from .config import tols
+from .linalg import gram_deviation
 
 
 # ---------------------------------------------------------------------------
@@ -158,21 +157,11 @@ def latin_from_group(group: FiniteGroup, variant: str) -> LatinSquare:
     l: a.b = ba      m: a.b = b^-1 a   n: a.b = ba^-1
     """
     cay, inv = group.cayley, group.inverse
-    if variant == "e":
-        table = cay
-    elif variant == "f":
-        table = cay[:, inv]
-    elif variant == "g":
-        table = cay[inv, :]
-    elif variant == "l":
-        table = cay.T
-    elif variant == "m":
-        table = cay[inv, :].T
-    elif variant == "n":
-        table = cay[:, inv].T
-    else:
+    tables = {"e": cay, "f": cay[:, inv], "g": cay[inv, :],
+              "l": cay.T, "m": cay[inv, :].T, "n": cay[:, inv].T}
+    if variant not in tables:
         raise ValueError(f"unknown latin square variant {variant!r}; expected one of {LATIN_VARIANTS}")
-    return latin_square(table)
+    return latin_square(tables[variant])
 
 
 def latin_inverse(lam: LatinSquare) -> LatinSquare:
@@ -237,11 +226,11 @@ def hadamard_family(matrices, root_order: int | None = None, exponents=None) -> 
     if mats.ndim != 3 or mats.shape[0] != mats.shape[1] or mats.shape[1] != mats.shape[2]:
         raise ValueError(f"expected d matrices of shape d x d, got {mats.shape}")
     d = mats.shape[0]
-    if np.abs(np.abs(mats) - 1.0).max() > DEFAULT_TOLS.unimodular:
+    if np.abs(np.abs(mats) - 1.0).max() > tols().unimodular:
         raise ValueError("Hadamard family entries must be unimodular")
     for n in range(d):
-        dev = np.abs(mats[n] @ mats[n].conj().T - d * np.eye(d)).max()
-        if dev > DEFAULT_TOLS.orthogonality:
+        dev = gram_deviation(mats[n], d).max()
+        if dev > tols().orthogonality:
             raise ValueError(f"member {n} fails H H* = d I: deviation {dev:.3e}")
     exp_arr = None
     if exponents is not None:
@@ -277,19 +266,17 @@ def fourier_family(d: int) -> HadamardFamily:
     return hadamard_family(mats, root_order=d, exponents=exps)
 
 
-def is_partial_hadamard(h, tol: float | None = None) -> bool:
+def is_partial_hadamard(h) -> bool:
     """True iff entries are unimodular and the s rows satisfy ``H H* = d I_s``."""
     m = np.asarray(h, dtype=complex)
     if m.ndim != 2:
         raise ValueError("expected a 2-D array")
-    tol = DEFAULT_TOLS.orthogonality if tol is None else tol
     s, d = m.shape
     if s > d:
         return False
-    if np.abs(np.abs(m) - 1.0).max() > DEFAULT_TOLS.unimodular:
+    if np.abs(np.abs(m) - 1.0).max() > tols().unimodular:
         return False
-    dev = np.abs(m @ m.conj().T - d * np.eye(s)).max()
-    return bool(dev <= tol)
+    return bool(gram_deviation(m, d).max() <= tols().orthogonality)
 
 
 def hadamard_crisscross(family: HadamardFamily, lam: LatinSquare, mn, m2n2) -> bool:
@@ -309,7 +296,7 @@ def hadamard_crisscross(family: HadamardFamily, lam: LatinSquare, mn, m2n2) -> b
     h = family.matrices
     lhs = h[n][m, t[n2]] * h[n2][m2]
     rhs = h[n2][m2, t[n]] * h[n][m]
-    return bool(np.abs(lhs - rhs).max() <= _FLOAT_PREDICATE_TOL)
+    return bool(np.abs(lhs - rhs).max() <= tols().commutation)
 
 
 def hadamard_twill(
@@ -337,4 +324,4 @@ def hadamard_twill(
     h = family.matrices
     lhs = h[n][m, p2] * h[n0][m0, p] * h[n2][m2]
     rhs = h[n2][m2, p] * h[n0][m0, p2] * h[n][m]
-    return bool(np.abs(lhs - rhs).max() <= _FLOAT_PREDICATE_TOL)
+    return bool(np.abs(lhs - rhs).max() <= tols().commutation)

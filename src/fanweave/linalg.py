@@ -8,11 +8,12 @@ take an explicit seed.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
-from .config import ANGLE_DECIMALS, DEFAULT_TOLS
+from .config import ANGLE_DECIMALS, tols
 from .errors import InvariantError
 
 _TWO_PI = 2.0 * np.pi
@@ -42,26 +43,39 @@ def unit_spectrum_angles(a) -> tuple[float, ...]:
     return tuple(sorted(round_unit_angle(z) for z in lam))
 
 
+def multiplicity_partition(angles) -> tuple[int, ...]:
+    """Multiplicities of the distinct values of a rounded spectrum, largest first."""
+    return tuple(sorted(Counter(angles).values(), reverse=True))
+
+
 def is_unitary(a, tol: float | None = None) -> bool:
     """True iff ``||A*A - I||_F <= tol``."""
     m = as_square_matrix(a)
-    tol = DEFAULT_TOLS.unitarity if tol is None else tol
+    tol = tols().unitarity if tol is None else tol
     return bool(np.linalg.norm(m.conj().T @ m - np.eye(m.shape[0])) <= tol)
 
 
-def hs_orthogonality_check(family, tol: float | None = None) -> bool:
-    """Check ``tr(U_x* U_y) = d delta_xy`` for every pair of the family."""
+def gram_deviation(rows, target: float) -> np.ndarray:
+    """Entrywise ``|G - target I|`` for the Gram matrix ``G = conj(rows) rows^T``."""
+    v = np.asarray(rows)
+    return np.abs(v.conj() @ v.T - target * np.eye(len(v)))
+
+
+def _square_family(family) -> tuple[list[np.ndarray], int]:
     mats = [as_square_matrix(f, f"family[{i}]") for i, f in enumerate(family)]
     if not mats:
         raise ValueError("family must be non-empty")
     d = mats[0].shape[0]
     if any(m.shape[0] != d for m in mats):
         raise ValueError("family members have mismatched dimensions")
-    tol = DEFAULT_TOLS.orthogonality if tol is None else tol
+    return mats, d
+
+
+def hs_orthogonality_check(family) -> bool:
+    """Check ``tr(U_x* U_y) = d delta_xy`` for every pair of the family."""
+    mats, d = _square_family(family)
     v = np.stack(mats).reshape(len(mats), d * d)
-    gram = v.conj() @ v.T
-    dev = np.abs(gram - d * np.eye(len(mats)))
-    return bool(dev.max() <= tol)
+    return bool(gram_deviation(v, d).max() <= tols().orthogonality)
 
 
 @dataclass(frozen=True, eq=False)
@@ -86,7 +100,8 @@ def _vector_key(vec: np.ndarray) -> tuple:
     return tuple((round(float(z.real), 10), round(float(z.imag), 10)) for z in w)
 
 
-def _eig_key(values) -> tuple:
+def eigen_sort_key(values) -> tuple:
+    """Sort key of a sequence of eigenvalues: (rounded angle, rounded modulus) per entry."""
     return tuple((round_unit_angle(z), round(float(abs(z)), ANGLE_DECIMALS)) for z in values)
 
 
@@ -127,38 +142,32 @@ def _joint_eigenvectors(mats: list[np.ndarray], rng: np.random.Generator, depth:
     return np.hstack(columns)
 
 
-def simul_diag(family, tol: float | None = None, rng_seed: int = 0):
+def simul_diag(family, rng_seed: int = 0):
     """Simultaneously diagonalize a commuting family of normal matrices.
 
     Parameters
     ----------
-    family : iterable of square complex matrices, pairwise commuting within
-        ``tol`` and each normal.
-    tol : commutation tolerance on ``||AB - BA||_F`` (default 1e-9).
+    family : iterable of square complex matrices, each normal and pairwise
+        commuting within the ``commutation`` tolerance on ``||AB - BA||_F``.
     rng_seed : seed for the random Hermitian mixing; the output is a
-        deterministic function of (family, tol, rng_seed).
+        deterministic function of (family, tolerances, rng_seed).
 
     Returns
     -------
     (u, diagonals) : ``u`` unitary with canonically ordered columns;
         ``diagonals[k]`` is the diagonal of ``u* family[k] u``.
     """
-    mats = [as_square_matrix(f, f"family[{i}]") for i, f in enumerate(family)]
-    if not mats:
-        raise ValueError("family must be non-empty")
-    d = mats[0].shape[0]
-    if any(m.shape[0] != d for m in mats):
-        raise ValueError("family members have mismatched dimensions")
-    tol = DEFAULT_TOLS.commutation if tol is None else tol
+    mats, d = _square_family(family)
+    tol = tols()
     for i, m in enumerate(mats):
         scale = max(np.linalg.norm(m) ** 2, 1e-300)
         resid = np.linalg.norm(m.conj().T @ m - m @ m.conj().T)
-        if resid > DEFAULT_TOLS.normality * scale:
+        if resid > tol.normality * scale:
             raise InvariantError(f"family[{i}] is not normal: ||A*A - AA*||_F = {resid:.3e}")
     for i in range(len(mats)):
         for j in range(i + 1, len(mats)):
             resid = np.linalg.norm(mats[i] @ mats[j] - mats[j] @ mats[i])
-            if resid > tol:
+            if resid > tol.commutation:
                 raise InvariantError(
                     f"family members {i} and {j} do not commute: ||AB - BA||_F = {resid:.3e}"
                 )
@@ -166,11 +175,11 @@ def simul_diag(family, tol: float | None = None, rng_seed: int = 0):
     u = _joint_eigenvectors(mats, rng)
     diags = np.stack([np.einsum("ij,ij->j", u.conj(), m @ u) for m in mats])
     order = sorted(
-        range(d), key=lambda c: (_eig_key(diags[:, c]), _vector_key(u[:, c]))
+        range(d), key=lambda c: (eigen_sort_key(diags[:, c]), _vector_key(u[:, c]))
     )
     u = u[:, order]
     diags = diags[:, order]
-    limit = DEFAULT_TOLS.diag_residual * np.sqrt(d)
+    limit = tol.diag_residual * np.sqrt(d)
     for k, m in enumerate(mats):
         resid = np.linalg.norm(u.conj().T @ m @ u - np.diag(diags[k]))
         if resid > limit:
@@ -180,24 +189,17 @@ def simul_diag(family, tol: float | None = None, rng_seed: int = 0):
     return u, [diags[k].copy() for k in range(len(mats))]
 
 
-def eig_normal(a, tol: float | None = None) -> SpectralDecomposition:
+def eig_normal(a) -> SpectralDecomposition:
     """Unitary eigendecomposition of a normal matrix with deterministic ordering.
 
     Eigenvalues are sorted by principal angle in [0, 2*pi) then modulus, with
-    ties broken by the phase-fixed eigenvector entries.
+    ties broken by the phase-fixed eigenvector entries.  A matrix that is not
+    normal is rejected by :func:`simul_diag`.
     """
     m = as_square_matrix(a)
-    tol = DEFAULT_TOLS.normality if tol is None else tol
-    scale = max(np.linalg.norm(m) ** 2, 1e-300)
-    resid = np.linalg.norm(m.conj().T @ m - m @ m.conj().T)
-    if resid > tol * scale:
-        raise InvariantError(
-            f"matrix is not normal: ||A*A - AA*||_F = {resid:.3e} > {tol:.1e} * ||A||_F^2"
-        )
     u, diags = simul_diag([m], rng_seed=0)
     lam = diags[0]
-    d = m.shape[0]
-    if np.linalg.norm(u.conj().T @ u - np.eye(d)) > 1e-10:
+    if not is_unitary(u, tol=1e-10):
         raise InvariantError("eigenvector columns are not orthonormal")
     recon = np.linalg.norm(m - u @ np.diag(lam) @ u.conj().T)
     if recon > 1e-9 * max(np.linalg.norm(m), 1e-300):
@@ -208,9 +210,9 @@ def eig_normal(a, tol: float | None = None) -> SpectralDecomposition:
 def is_psd(a, tol: float | None = None) -> bool:
     """True iff the Hermitian matrix ``a`` has ``lambda_min >= -tol``."""
     m = as_square_matrix(a)
-    tol = DEFAULT_TOLS.psd if tol is None else tol
+    tol = tols().psd if tol is None else tol
     herm_resid = np.linalg.norm(m - m.conj().T)
-    if herm_resid > DEFAULT_TOLS.hermitian * max(1.0, np.linalg.norm(m)):
+    if herm_resid > tols().hermitian * max(1.0, np.linalg.norm(m)):
         raise ValueError(f"matrix is not Hermitian: ||A - A*||_F = {herm_resid:.3e}")
     w = np.linalg.eigvalsh((m + m.conj().T) / 2.0)
     return bool(w.min() >= -tol)
@@ -233,6 +235,14 @@ def partial_transpose(m, d1: int, d2: int, subsystem: int = 2) -> np.ndarray:
     return np.ascontiguousarray(t.reshape(d1 * d2, d1 * d2))
 
 
+def bipartite_dim(v) -> int:
+    """The local dimension ``d`` of a length-``d**2`` bipartite vector."""
+    d = round(len(v) ** 0.5)
+    if d * d != len(v):
+        raise ValueError(f"bipartite vector length {len(v)} is not a perfect square")
+    return d
+
+
 def vec_to_op(psi) -> np.ndarray:
     """Operator corresponding to a bipartite vector: ``A[j, k] = sqrt(d) psi[j*d + k]``.
 
@@ -240,9 +250,7 @@ def vec_to_op(psi) -> np.ndarray:
     entangled vector maps to the identity.
     """
     v = np.asarray(psi, dtype=complex).reshape(-1)
-    d = round(len(v) ** 0.5)
-    if d * d != len(v):
-        raise ValueError(f"bipartite vector length {len(v)} is not a perfect square")
+    d = bipartite_dim(v)
     return np.sqrt(d) * v.reshape(d, d)
 
 
@@ -254,23 +262,20 @@ def op_to_vec(a) -> np.ndarray:
 
 def _schmidt_probabilities(psi) -> np.ndarray:
     v = np.asarray(psi, dtype=complex).reshape(-1)
-    d = round(len(v) ** 0.5)
-    if d * d != len(v):
-        raise ValueError(f"bipartite vector length {len(v)} is not a perfect square")
+    d = bipartite_dim(v)
     nrm = np.linalg.norm(v)
-    if abs(nrm - 1.0) > DEFAULT_TOLS.vector_norm:
+    if abs(nrm - 1.0) > tols().vector_norm:
         raise ValueError(f"vector is not normalized: ||psi|| = {nrm!r}")
     sv = np.linalg.svd(v.reshape(d, d), compute_uv=False)
     return sv**2
 
 
-def schmidt_rank(psi, tol: float | None = None) -> int:
-    """Number of singular values of the associated operator above ``tol``."""
-    tol = DEFAULT_TOLS.schmidt if tol is None else tol
+def schmidt_rank(psi) -> int:
+    """Number of singular values of the associated operator above the ``schmidt`` tolerance."""
     probs = _schmidt_probabilities(psi)
     d = len(probs)
     sv_op = np.sqrt(probs * d)  # singular values of vec_to_op(psi)
-    return int(np.count_nonzero(sv_op > tol))
+    return int(np.count_nonzero(sv_op > tols().schmidt))
 
 
 def entanglement_entropy(psi) -> float:

@@ -16,11 +16,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import tols
 from .errors import InvariantError
 from .linalg import as_square_matrix, partial_transpose
 
-PSD_TOL = 1e-10
-SHM_IDENTITY_TOL = 1e-12
 CIRCULANT_IDENTITY_TOL = 1e-14
 
 
@@ -180,7 +179,7 @@ def build_ppt(
     lam_min = float(np.linalg.eigvalsh((mat + mat.conj().T) / 2.0).min())
     pt = partial_transpose(mat, n, dblk, subsystem=2)
     lam_min_pt = float(np.linalg.eigvalsh((pt + pt.conj().T) / 2.0).min())
-    if lam_min < -PSD_TOL or lam_min_pt < -PSD_TOL:
+    if lam_min < -tols().psd or lam_min_pt < -tols().psd:
         raise InvariantError(
             f"PPT certificate failed: lambda_min = {lam_min:.3e}, "
             f"lambda_min(partial transpose) = {lam_min_pt:.3e}"

@@ -2,7 +2,8 @@
 
 Complex scalars are serialized as [re, im] pairs; floats go through Python's
 shortest-round-trip repr, so writing and re-reading a file reproduces the
-doubles bit for bit and identical inputs give byte-identical files.
+doubles bit for bit and identical inputs give byte-identical files.  Loaders
+check the shape of what they read and raise ``ValueError`` naming the field.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ import json
 
 import numpy as np
 
-from .basis import Fan, Provenance, UnitaryBasis, unitary_basis
+from .basis import Fan, HadamardFan, Provenance, UnitaryBasis, unitary_basis
 from .combinatorics import (
     FiniteGroup,
     HadamardFamily,
@@ -25,24 +26,51 @@ from .tomography import MubSystem, Povm, make_povm
 
 
 # ---------------------------------------------------------------------------
+# schema checks
+
+
+def _get(obj, key: str, kind: type, where: str = ""):
+    """``obj[key]``, checked to be a JSON ``kind``; ValueError names the field otherwise."""
+    field = f"{where}.{key}" if where else key
+    if not isinstance(obj, dict) or key not in obj:
+        raise ValueError(f"missing field {field!r}")
+    if not isinstance(obj[key], kind) or isinstance(obj[key], bool):
+        raise ValueError(f"field {field!r} must be of type {kind.__name__}, got {type(obj[key]).__name__}")
+    return obj[key]
+
+
+def _array(value: list, dtype: type, field: str) -> np.ndarray:
+    try:
+        return np.array(value, dtype=dtype)
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError(f"field {field!r} must be an array of numbers") from None
+
+
+def _complex_entries(obj, count: int) -> np.ndarray:
+    pairs = _array(_get(obj, "entries", list), float, "entries")
+    if pairs.shape != (count, 2):
+        raise ValueError(f"field 'entries' must hold {count} [re, im] pairs, got shape {pairs.shape}")
+    return pairs.view(complex).reshape(-1)
+
+
+# ---------------------------------------------------------------------------
 # matrices
+
+
+def _entries(m: np.ndarray) -> list:
+    return np.ascontiguousarray(m).view(float).reshape(-1, 2).tolist()
 
 
 def matrix_to_json(a) -> dict:
     m = np.asarray(a, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    flat = m.reshape(-1)
-    return {"dim": int(m.shape[0]), "entries": [[float(z.real), float(z.imag)] for z in flat]}
+    return {"dim": int(m.shape[0]), "entries": _entries(m)}
 
 
 def matrix_from_json(obj) -> np.ndarray:
-    d = int(obj["dim"])
-    entries = obj["entries"]
-    if len(entries) != d * d:
-        raise ValueError(f"matrix of dim {d} needs {d * d} entries, got {len(entries)}")
-    flat = np.array([complex(re, im) for re, im in entries])
-    return flat.reshape(d, d)
+    d = _get(obj, "dim", int)
+    return _complex_entries(obj, d * d).reshape(d, d)
 
 
 def rect_to_json(a) -> dict:
@@ -50,18 +78,16 @@ def rect_to_json(a) -> dict:
     m = np.asarray(a, dtype=complex)
     if m.ndim != 2:
         raise ValueError(f"expected a 2-D array, got shape {m.shape}")
-    flat = m.reshape(-1)
     return {
         "rows": int(m.shape[0]),
         "cols": int(m.shape[1]),
-        "entries": [[float(z.real), float(z.imag)] for z in flat],
+        "entries": _entries(m),
     }
 
 
 def rect_from_json(obj) -> np.ndarray:
-    rows, cols = int(obj["rows"]), int(obj["cols"])
-    flat = np.array([complex(re, im) for re, im in obj["entries"]])
-    return flat.reshape(rows, cols)
+    rows, cols = _get(obj, "rows", int), _get(obj, "cols", int)
+    return _complex_entries(obj, rows * cols).reshape(rows, cols)
 
 
 # ---------------------------------------------------------------------------
@@ -73,7 +99,7 @@ def latin_to_json(lam: LatinSquare) -> dict:
 
 
 def latin_from_json(obj) -> LatinSquare:
-    return latin_square(obj["table"])
+    return latin_square(_array(_get(obj, "table", list), int, "table"))
 
 
 def group_to_json(group: FiniteGroup) -> dict:
@@ -81,7 +107,7 @@ def group_to_json(group: FiniteGroup) -> dict:
 
 
 def group_from_json(obj) -> FiniteGroup:
-    return group_from_cayley(obj["cayley"])
+    return group_from_cayley(_array(_get(obj, "cayley", list), int, "cayley"))
 
 
 def hadamard_family_to_json(fam: HadamardFamily) -> dict:
@@ -96,12 +122,16 @@ def hadamard_family_to_json(fam: HadamardFamily) -> dict:
 
 
 def hadamard_family_from_json(obj) -> HadamardFamily:
-    d = int(obj["d"])
-    mats = np.stack([matrix_from_json(obj["matrices"][str(n)]) for n in range(d)])
-    root_order = obj.get("root_order")
-    exponents = None
-    if root_order is not None:
-        exponents = np.stack([np.asarray(obj["exponents"][str(n)], dtype=int) for n in range(d)])
+    d = _get(obj, "d", int)
+    matrices = _get(obj, "matrices", dict)
+    mats = np.stack([matrix_from_json(_get(matrices, str(n), dict, "matrices")) for n in range(d)])
+    root_order = exponents = None
+    if obj.get("root_order") is not None:
+        root_order = _get(obj, "root_order", int)
+        table = _get(obj, "exponents", dict)
+        exponents = np.stack([
+            _array(_get(table, str(n), list, "exponents"), int, f"exponents.{n}") for n in range(d)
+        ])
     return hadamard_family(mats, root_order=root_order, exponents=exponents)
 
 
@@ -120,8 +150,8 @@ def _provenance_to_json(prov: Provenance) -> dict:
 
 def _provenance_from_json(obj) -> Provenance:
     return Provenance(
-        kind=obj["kind"],
-        params=dict(obj.get("params") or {}),
+        kind=_get(obj, "kind", str, "provenance"),
+        params=dict(_get(obj, "params", dict, "provenance") if obj.get("params") else {}),
         latin=None if obj.get("latin") is None else latin_from_json(obj["latin"]),
         hadamard=None if obj.get("hadamard") is None else hadamard_family_from_json(obj["hadamard"]),
     )
@@ -137,9 +167,10 @@ def basis_to_json(basis: UnitaryBasis) -> dict:
 
 
 def basis_from_json(obj) -> UnitaryBasis:
-    labels = [str(x) for x in obj["labels"]]
-    ops = {x: matrix_from_json(obj["operators"][x]) for x in labels}
-    return unitary_basis(labels, ops, _provenance_from_json(obj["provenance"]))
+    labels = [str(x) for x in _get(obj, "labels", list)]
+    operators = _get(obj, "operators", dict)
+    ops = {x: matrix_from_json(_get(operators, x, dict, "operators")) for x in labels}
+    return unitary_basis(labels, ops, _provenance_from_json(_get(obj, "provenance", dict)))
 
 
 def fan_to_json(fan: Fan) -> dict:
@@ -147,9 +178,12 @@ def fan_to_json(fan: Fan) -> dict:
 
 
 def fan_from_json(obj) -> Fan:
+    masses = _get(obj, "masses", list)
+    if not all(isinstance(m, list) for m in masses):
+        raise ValueError("field 'masses' must be an array of label arrays")
     return Fan(
-        universe=tuple(str(x) for x in obj["universe"]),
-        masses=tuple(tuple(str(x) for x in m) for m in obj["masses"]),
+        universe=tuple(str(x) for x in _get(obj, "universe", list)),
+        masses=tuple(tuple(str(x) for x in m) for m in masses),
     )
 
 
@@ -180,8 +214,9 @@ def povm_to_json(povm: Povm) -> dict:
 
 
 def povm_from_json(obj) -> Povm:
-    d = int(obj["d"])
-    return make_povm(d, [matrix_from_json(e) for e in obj["elements"]])
+    d = _get(obj, "d", int)
+    elements = _get(obj, "elements", list)
+    return make_povm(d, [matrix_from_json(e) for e in elements])
 
 
 def mub_to_json(mub: MubSystem) -> dict:
@@ -189,6 +224,22 @@ def mub_to_json(mub: MubSystem) -> dict:
         "d": mub.d,
         "bases": [matrix_to_json(b) for b in mub.bases],
         "source": [list(m) for m in mub.source],
+    }
+
+
+def hadamard_fan_to_json(hfan: HadamardFan, seed: int) -> dict:
+    return {
+        "d": hfan.d,
+        "seed": seed,
+        "masses": [
+            {
+                "mass": list(entry.mass),
+                "diagonalizer": matrix_to_json(entry.diagonalizer),
+                "rows": rect_to_json(entry.rows),
+                "augmented": rect_to_json(entry.augmented),
+            }
+            for entry in hfan.entries
+        ],
     }
 
 

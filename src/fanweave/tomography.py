@@ -19,9 +19,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import Fan, Tag, label_sort_key
-from .config import DEFAULT_TOLS
+from .config import tols
 from .errors import InvariantError, UnsupportedConfigurationError
-from .linalg import eig_normal, round_unit_angle, simul_diag, unit_spectrum_angles
+from .linalg import (
+    eig_normal,
+    is_unitary,
+    multiplicity_partition,
+    round_unit_angle,
+    simul_diag,
+    unit_spectrum_angles,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -85,11 +92,11 @@ def mub_from_partition(tag: Tag, partition, rng_seed: int = 0) -> MubSystem:
     bases = []
     for p in parts:
         u = mass_eigenbasis(tag, p, rng_seed=rng_seed)
-        if np.linalg.norm(u.conj().T @ u - np.eye(d)) > 1e-10:
+        if not is_unitary(u, tol=1e-10):
             raise InvariantError(f"eigenbasis of part {p} is not orthonormal")
         bases.append(u)
     dev = mub_unbiasedness_deviation(bases, d)
-    if dev > DEFAULT_TOLS.unbiasedness:
+    if dev > tols().unbiasedness:
         raise InvariantError(
             f"unbiasedness failure: max |d|<b,b'>|^2 - 1| = {dev:.3e} "
             "(a part may be mis-specified or non-commuting)"
@@ -210,52 +217,27 @@ def make_povm(d: int, elements) -> Povm:
     elems = tuple(np.asarray(e, dtype=complex) for e in elements)
     total = sum(elems)
     dev = np.linalg.norm(total - np.eye(d))
-    if dev > DEFAULT_TOLS.povm_sum:
+    if dev > tols().povm_sum:
         raise InvariantError(f"POVM elements sum to identity only within {dev:.3e}")
     flags = []
     for i, e in enumerate(elems):
         herm = np.linalg.norm(e - e.conj().T)
-        if herm > DEFAULT_TOLS.hermitian * max(1.0, np.linalg.norm(e)):
+        if herm > tols().hermitian * max(1.0, np.linalg.norm(e)):
             raise InvariantError(f"POVM element {i} is not Hermitian")
         w = np.linalg.eigvalsh((e + e.conj().T) / 2.0)
-        if w.min() < -DEFAULT_TOLS.psd:
+        if w.min() < -tols().psd:
             raise InvariantError(f"POVM element {i} has negative eigenvalue {w.min():.3e}")
         top = w[-1]
         second = w[-2] if len(w) > 1 else 0.0
-        flags.append(bool(top > 1e-12 and second <= DEFAULT_TOLS.purity_ratio * top))
+        flags.append(bool(top > 1e-12 and second <= tols().purity_ratio * top))
     return Povm(d=d, elements=elems, pure_flags=tuple(flags))
-
-
-def _completion_scale(projectors, n_selected: int, d: int) -> float:
-    """Largest scale c <= 1/|cover| keeping I - c * sum(projectors) PSD.
-
-    The upper bound is always feasible (each MASS contributes a sub-resolution
-    of the identity, so the projector sum is at most |cover| * I); the
-    bisection below is a safety net only.
-    """
-    total = sum(projectors)
-    hi = 1.0 / n_selected
-
-    def feasible(c: float) -> bool:
-        w = np.linalg.eigvalsh(np.eye(d) - c * total)
-        return bool(w.min() >= -DEFAULT_TOLS.psd)
-
-    if feasible(hi):
-        return hi
-    lo = 0.0
-    while hi - lo > 1e-12:
-        mid = (lo + hi) / 2.0
-        if feasible(mid):
-            lo = mid
-        else:
-            hi = mid
-    return lo
 
 
 def _assemble_povm(tag: Tag, kept_vectors, n_selected: int) -> Povm:
     d = tag.d
     projectors = [np.outer(v, v.conj()) for v in kept_vectors]
-    c = _completion_scale(projectors, n_selected, d)
+    # Each cover MASS adds orthonormal vectors, so I - c * sum is PSD; make_povm checks it.
+    c = 1.0 / n_selected
     completion = np.eye(d) - c * sum(projectors)
     povm = make_povm(d, [completion] + [c * p for p in projectors])
     complete, rank = is_info_complete(povm)
@@ -283,14 +265,6 @@ def crude_povm(tag: Tag, cover: CoverSelection, rng_seed: int = 0) -> Povm:
     return _assemble_povm(tag, kept, len(cover.selected))
 
 
-def _spectrum_signature(op: np.ndarray) -> tuple[int, ...]:
-    angles = unit_spectrum_angles(op)
-    counts: dict[float, int] = {}
-    for a in angles:
-        counts[a] = counts.get(a, 0) + 1
-    return tuple(sorted(counts.values(), reverse=True))
-
-
 def _eigenspace_projectors(op: np.ndarray) -> list[np.ndarray]:
     dec = eig_normal(op)
     keys = [round_unit_angle(z) for z in dec.eigenvalues]
@@ -301,8 +275,8 @@ def _eigenspace_projectors(op: np.ndarray) -> list[np.ndarray]:
     return projectors
 
 
-def refined_povm(tag: Tag, fan: Fan, hub: str, rng_seed: int = 0) -> Povm:
-    """Hub-refined pure POVM over the minimal cover of the fan.
+def refined_povm(tag: Tag, cover: CoverSelection, hub: str, rng_seed: int = 0) -> Povm:
+    """Hub-refined pure POVM over a minimal cover of the fan (see :func:`minimal_cover`).
 
     The hub must have degenerate eigenvalues and lie in at least two cover
     MASSes.  Cover MASSes are grouped by the degenerate elements they share
@@ -314,16 +288,15 @@ def refined_povm(tag: Tag, fan: Fan, hub: str, rng_seed: int = 0) -> Povm:
     determined.  The same 1/|cover| completion as the crude construction
     closes the POVM.
     """
-    if set(fan.universe) != set(tag.labels):
-        raise ValueError("fan does not belong to this tag")
+    if set(cover.fan.universe) != set(tag.labels):
+        raise ValueError("cover does not belong to this tag")
     if hub not in tag.operators:
         raise ValueError(f"hub {hub!r} is not a member of the tag system")
     d = tag.d
-    hub_sig = _spectrum_signature(tag.operators[hub])
+    hub_sig = multiplicity_partition(unit_spectrum_angles(tag.operators[hub]))
     if hub_sig[0] < 2:
         raise ValueError(f"hub {hub!r} has simple spectrum; a degenerate hub is required")
-    cover = minimal_cover(fan)
-    cover_sets = [frozenset(fan.masses[i]) for i in cover.selected]
+    cover_sets = [frozenset(m) for m in cover.masses]
     n_cover = len(cover_sets)
     hub_hits = tuple(i for i, s in enumerate(cover_sets) if hub in s)
     if len(hub_hits) < 2:
@@ -331,7 +304,7 @@ def refined_povm(tag: Tag, fan: Fan, hub: str, rng_seed: int = 0) -> Povm:
 
     groups: dict[tuple[int, ...], set[str]] = {}
     for y in tag.labels:
-        if _spectrum_signature(tag.operators[y]) != hub_sig:
+        if multiplicity_partition(unit_spectrum_angles(tag.operators[y])) != hub_sig:
             continue
         hits = tuple(i for i, s in enumerate(cover_sets) if y in s)
         if len(hits) < 2:
@@ -350,7 +323,7 @@ def refined_povm(tag: Tag, fan: Fan, hub: str, rng_seed: int = 0) -> Povm:
         rep = min(unit, key=label_sort_key)
         block_projectors = _eigenspace_projectors(tag.operators[rep])
         masses = sorted(
-            (fan.masses[cover.selected[i]] for i in hits),
+            (cover.masses[i] for i in hits),
             key=lambda mass: tuple(label_sort_key(x) for x in mass),
         )
         for mass_index, mass in enumerate(masses):
@@ -424,7 +397,7 @@ def reconstruct(rho, povm: Povm) -> tuple[np.ndarray, float]:
     if abs(np.trace(state) - 1.0) > 1e-9:
         raise ValueError("state must have unit trace")
     herm = np.linalg.norm(state - state.conj().T)
-    if herm > DEFAULT_TOLS.hermitian * max(1.0, np.linalg.norm(state)):
+    if herm > tols().hermitian * max(1.0, np.linalg.norm(state)):
         raise ValueError("state must be Hermitian")
     complete, rank = is_info_complete(povm)
     if not complete:

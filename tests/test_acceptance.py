@@ -140,20 +140,20 @@ def test_c08_povms(weyl):
 
     tag4 = fw.tag_at(weyl(4), "0,0")
     fan4 = fw.fan_representation(weyl(4), "0,0")
-    refined4 = fw.refined_povm(tag4, fan4, "2,2")
+    refined4 = fw.refined_povm(tag4, fw.minimal_cover(fan4), "2,2")
     assert len(refined4) == 16 and refined4.n_pure == 15
     _check_povm(refined4, 4)
 
     tag6 = fw.tag_at(weyl(6), "0,0")
     fan6 = fw.fan_representation(weyl(6), "0,0")
-    refined6a = fw.refined_povm(tag6, fan6, "2,2")
+    refined6a = fw.refined_povm(tag6, fw.minimal_cover(fan6), "2,2")
     assert len(refined6a) == 45 and refined6a.n_pure == 44
     _check_povm(refined6a, 6)
-    refined6b = fw.refined_povm(tag6, fan6, "3,3")
+    refined6b = fw.refined_povm(tag6, fw.minimal_cover(fan6), "3,3")
     assert len(refined6b) == 52 and refined6b.n_pure == 51
     _check_povm(refined6b, 6)
     for hub in ("3,0", "0,3"):
-        assert len(fw.refined_povm(tag6, fan6, hub)) == 52
+        assert len(fw.refined_povm(tag6, fw.minimal_cover(fan6), hub)) == 52
 
     crude6 = fw.crude_povm(tag6, fw.minimal_cover(fan6))
     assert len(crude6) == 61

@@ -1,3 +1,4 @@
+import copy
 import json
 
 import numpy as np
@@ -233,7 +234,88 @@ class TestGlobalFlags:
         assert result.exit_code == 0
         assert fw.DEFAULT_TOLS.commutation == before
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "0", "-1"])
+    def test_bad_tolerance_value_rejected(self, runner, tmp_path, weyl, value):
+        path = tmp_path / "weyl4.json"
+        write_basis(path, weyl(4))
+        result = runner.invoke(main, ["--tol", f"commutation={value}", "fans", str(path), "--tag", "0,0"])
+        assert result.exit_code == 2
+        assert "error: tolerance 'commutation' must be finite and positive" in result.output
+
+    def test_tolerance_override_changes_the_result(self, runner, tmp_path, weyl):
+        path = tmp_path / "weyl4.json"
+        write_basis(path, weyl(4))
+        # ||AB - BA||_F <= 2 sqrt(d) = 4 for unitaries, so every pair commutes within 10
+        result = invoke(runner, ["--tol", "commutation=10", "fans", str(path), "--tag", "0,0"])
+        assert "mass_count: 1\n" in result.output
+        assert "mass_count: 7\n" in invoke(runner, ["fans", str(path), "--tag", "0,0"]).output
+
+    def test_psd_tolerance_reaches_ppt(self, runner):
+        # a shift 5e-13 below the minimal one leaves lambda_min at about -5e-13
+        shift = fw.build_ppt(2, rng_seed=0).shift_a - 5e-13
+        args = ["ppt", "--n", "2", "--shift", repr(shift)]
+        assert invoke(runner, args).exit_code == 0
+        result = runner.invoke(main, ["--tol", "psd=1e-13", *args])
+        assert result.exit_code == 2
+        assert "error: PPT certificate failed" in result.output
+
     def test_json_format(self, runner):
         result = invoke(runner, ["--format", "json", "ppt", "--n", "2"])
         report = json.loads(result.output)
         assert report["seed"] == 0
+
+
+# Values that change a JSON node's type; a mutation replaces a node with one of
+# another type or drops a key.
+_REPLACEMENTS = (None, True, 0, -3, 1.5, "x", [], [1, 2], {}, {"a": 1}, [[1.0, 0.0]])
+
+
+def mutate(doc, rng):
+    """A copy of ``doc`` with one randomly chosen node dropped or retyped."""
+    doc = copy.deepcopy(doc)
+    parent, key, node = None, None, doc
+    while isinstance(node, (dict, list)) and node and (parent is None or rng.random() < 0.75):
+        keys = list(node) if isinstance(node, dict) else list(range(len(node)))
+        key = keys[rng.integers(len(keys))]
+        parent, node = node, node[key]
+    if isinstance(parent, dict) and rng.random() < 0.5:
+        del parent[key]
+    else:
+        choices = [r for r in _REPLACEMENTS if type(r) is not type(node)]
+        parent[key] = copy.deepcopy(choices[rng.integers(len(choices))])
+    return doc
+
+
+class TestMalformedBasisJson:
+    @pytest.mark.parametrize("text, field", [
+        ('{"labels": 5}', "'labels' must be of type list"),
+        ("[1, 2, 3]", "missing field 'labels'"),
+        ("not a pair", "field 'entries' must be an array of numbers"),
+    ])
+    def test_rejected_with_exit_2(self, runner, tmp_path, weyl, text, field):
+        if text == "not a pair":
+            doc = ser.basis_to_json(weyl(2))
+            doc["operators"]["0,0"]["entries"][1] = 5
+            text = json.dumps(doc)
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        result = runner.invoke(main, ["fans", str(path), "--tag", "0,0"])
+        assert result.exit_code == 2
+        assert f"error: cannot load unitary basis from {path}:" in result.output
+        assert field in result.output
+
+    @pytest.mark.parametrize("basis_name", ["weyl3", "pauli2"])
+    def test_seeded_mutations_never_crash(self, runner, tmp_path, weyl, pauli2, basis_name):
+        basis = weyl(3) if basis_name == "weyl3" else pauli2
+        doc = ser.basis_to_json(basis)
+        path = tmp_path / "mutant.json"
+        rng = np.random.default_rng(7)
+        outcomes = set()
+        for _ in range(150):
+            path.write_text(json.dumps(mutate(doc, rng)))
+            result = runner.invoke(main, ["fans", str(path), "--tag", basis.labels[0]])
+            assert result.exit_code in (0, 2), result.output
+            if result.exit_code == 2:
+                assert result.output.startswith("error: ")
+            outcomes.add(result.exit_code)
+        assert outcomes == {0, 2}

@@ -181,7 +181,7 @@ class TestCrudePovm:
 class TestRefinedPovm:
     def test_weyl4_fifteen_pure_states(self, weyl):
         tag, fan = tag_and_fan(weyl(4), "0,0")
-        povm = fw.refined_povm(tag, fan, "2,2")
+        povm = fw.refined_povm(tag, fw.minimal_cover(fan), "2,2")
         assert len(povm) == 16
         assert povm.n_pure == 15
         complete, rank = fw.is_info_complete(povm)
@@ -190,11 +190,11 @@ class TestRefinedPovm:
     def test_weyl4_any_hub_of_the_family(self, weyl):
         tag, fan = tag_and_fan(weyl(4), "0,0")
         for hub in ("2,0", "0,2", "2,2"):
-            assert len(fw.refined_povm(tag, fan, hub)) == 16
+            assert len(fw.refined_povm(tag, fw.minimal_cover(fan), hub)) == 16
 
     def test_weyl6_type_a_45(self, weyl):
         tag, fan = tag_and_fan(weyl(6), "0,0")
-        povm = fw.refined_povm(tag, fan, "2,2")
+        povm = fw.refined_povm(tag, fw.minimal_cover(fan), "2,2")
         assert len(povm) == 45
         assert povm.n_pure == 44
         complete, rank = fw.is_info_complete(povm)
@@ -202,7 +202,7 @@ class TestRefinedPovm:
 
     def test_weyl6_type_b_52(self, weyl):
         tag, fan = tag_and_fan(weyl(6), "0,0")
-        povm = fw.refined_povm(tag, fan, "3,3")
+        povm = fw.refined_povm(tag, fw.minimal_cover(fan), "3,3")
         assert len(povm) == 52
         assert povm.n_pure == 51
         complete, rank = fw.is_info_complete(povm)
@@ -211,29 +211,29 @@ class TestRefinedPovm:
     def test_simple_spectrum_hub_rejected(self, weyl):
         tag, fan = tag_and_fan(weyl(4), "0,0")
         with pytest.raises(ValueError, match="simple spectrum"):
-            fw.refined_povm(tag, fan, "1,0")
+            fw.refined_povm(tag, fw.minimal_cover(fan), "1,0")
 
     def test_hub_outside_system_rejected(self, weyl):
         tag, fan = tag_and_fan(weyl(4), "0,0")
         with pytest.raises(ValueError, match="not a member"):
-            fw.refined_povm(tag, fan, "0,0")
+            fw.refined_povm(tag, fw.minimal_cover(fan), "0,0")
 
     def test_unsupported_configuration_raises(self, s3_basis):
         # the S3 fan's singleton MASSes cannot be grouped by any hub
         tag, fan = tag_and_fan(s3_basis, "0,0")
         with pytest.raises(UnsupportedConfigurationError, match="partition"):
-            fw.refined_povm(tag, fan, "3,0")
+            fw.refined_povm(tag, fw.minimal_cover(fan), "3,0")
 
     def test_hub_in_single_cover_mass_rejected(self, pauli2):
         # the minimal pauli2 cover is an exact cover: every hub lies in one MASS
         tag, fan = tag_and_fan(pauli2, "I,I")
         with pytest.raises(ValueError, match="at least 2"):
-            fw.refined_povm(tag, fan, "X,X")
+            fw.refined_povm(tag, fw.minimal_cover(fan), "X,X")
 
     def test_template_generalizes_when_groups_partition(self, weyl):
         # d=8, hub (4,4): the same block-sharing structure appears and is verified
         tag, fan = tag_and_fan(weyl(8), "0,0")
-        povm = fw.refined_povm(tag, fan, "4,4")
+        povm = fw.refined_povm(tag, fw.minimal_cover(fan), "4,4")
         complete, rank = fw.is_info_complete(povm)
         assert complete and rank == 64
         assert len(povm) < (8 - 1) * len(fw.minimal_cover(fan).selected) + 1
@@ -273,7 +273,7 @@ class TestReconstruct:
 
     def test_pure_states_refined_weyl4(self, weyl):
         tag, fan = tag_and_fan(weyl(4), "0,0")
-        povm = fw.refined_povm(tag, fan, "2,2")
+        povm = fw.refined_povm(tag, fw.minimal_cover(fan), "2,2")
         rng = np.random.default_rng(43)
         for _ in range(20):
             rho = random_pure_density(4, rng)
