@@ -23,13 +23,8 @@ from .combinatorics import (
     LatinSquare,
     fourier_family,
     group_cyclic,
-    hadamard_crisscross,
-    hadamard_twill,
     is_partial_hadamard,
-    latin_crisscross,
     latin_from_group,
-    latin_inverse,
-    latin_twill,
 )
 from .config import tols
 from .errors import InvariantError
@@ -244,55 +239,67 @@ def _numeric_adjacency(labels, operators) -> np.ndarray:
     return adj
 
 
-def _exact_adjacency(labels, commute) -> np.ndarray:
-    pairs = [parse_pair(x) for x in labels]
-    n = len(pairs)
-    adj = np.eye(n, dtype=bool)
-    for i in range(n):
-        for j in range(i + 1, n):
-            adj[i, j] = adj[j, i] = commute(pairs[i], pairs[j])
-    return adj
+def _monomial_adjacency(basis: UnitaryBasis, labels, operators, mode: str, x0: str | None) -> np.ndarray:
+    """Exact adjacency of shift-and-multiply members read as monomials ``|k> -> w^e[k] |p[k]>``.
 
-
-def _shift_multiply_data(basis: UnitaryBasis, mode: str):
-    prov = basis.provenance
-    if prov.latin is None or prov.hadamard is None:
+    ``U_{m,n}`` has ``p = lam(n, .)``, ``e`` row m of the exponents of ``H^n`` and ``w = exp(2 pi i / N)``;
+    a tag composes in ``U_x0^-1``.  ``(s, a)`` and ``(t, b)`` commute iff ``s t = t s`` and
+    ``b + a[t] = a + b[s] (mod N)``.  Provenance whose monomials are not ``operators`` is refused.
+    """
+    lam, fam = basis.provenance.latin, basis.provenance.hadamard
+    if lam is None or fam is None:
         raise ValueError(
             f"mode {mode!r} requires shift-and-multiply provenance with a latin square and Hadamard family"
         )
-    if not prov.hadamard.exact:
+    if not fam.exact:
         raise ValueError(f"mode {mode!r} requires exact root-of-unity Hadamard exponents")
-    return prov.latin, prov.hadamard
+    d, order = basis.d, fam.root_order
+    pairs = {x: parse_pair(x) for x in basis.labels}
+    if lam.size != d or fam.d != d or not all(0 <= i < d for pair in pairs.values() for i in pair):
+        raise ValueError(f"mode {mode!r}: provenance of size {lam.size} does not index the labels of C^{d}")
+    m, n = np.array([pairs[x] for x in labels]).T
+    perms = lam.table[n]
+    exps = fam.exponents[n, m]
+    if x0 is not None:
+        m0, n0 = pairs[x0]
+        perms = np.argsort(lam.table[n0])[perms]
+        exps = exps - fam.exponents[n0, m0][perms]
+    exps %= order
+    dense = np.zeros((len(labels), d, d), dtype=complex)
+    dense[np.arange(len(labels))[:, None], perms, np.arange(d)] = np.exp(2j * np.pi * exps / order)
+    resid = np.linalg.norm(dense - np.stack([operators[x] for x in labels]), axis=(1, 2))
+    worst = int(np.argmax(resid))
+    if resid[worst] > tols().commutation:
+        raise ValueError(
+            f"mode {mode!r}: provenance does not match operator {labels[worst]} "
+            f"(Frobenius distance {resid[worst]:.3e})"
+        )
+    composed = perms[:, perms]  # composed[i, j] = perms[i] o perms[j]
+    phases = exps[None, :, :] + exps[:, perms]  # phases[i, j] = exps[j] + exps[i] o perms[j]
+    same_perm = (composed == composed.transpose(1, 0, 2)).all(axis=2)
+    same_phase = ((phases - phases.transpose(1, 0, 2)) % order == 0).all(axis=2)
+    return same_perm & same_phase
+
+
+def _commutation_graph(basis, labels, operators, mode: str, exact_mode: str, x0=None) -> CommutationGraph:
+    if mode == "numeric":
+        adj = _numeric_adjacency(labels, operators)
+    elif mode == exact_mode:
+        adj = _monomial_adjacency(basis, labels, operators, mode, x0)
+    else:
+        scope = "an untagged basis" if x0 is None else "a tag"
+        raise ValueError(f"unsupported mode {mode!r} for {scope} graph")
+    return CommutationGraph(vertices=labels, adjacency=adj, mode=mode)
 
 
 def basis_commutation_graph(basis: UnitaryBasis, mode: str = "numeric") -> CommutationGraph:
     """Commutation graph on all basis labels (no tag)."""
-    if mode == "numeric":
-        adj = _numeric_adjacency(basis.labels, basis.operators)
-    elif mode == "exact-crisscross":
-        lam, fam = _shift_multiply_data(basis, mode)
-        adj = _exact_adjacency(basis.labels, lambda p, q: (
-            latin_crisscross(lam, p[1], q[1]) and hadamard_crisscross(fam, lam, p, q)
-        ))
-    else:
-        raise ValueError(f"unsupported mode {mode!r} for an untagged basis graph")
-    return CommutationGraph(vertices=basis.labels, adjacency=adj, mode=mode)
+    return _commutation_graph(basis, basis.labels, basis.operators, mode, "exact-crisscross")
 
 
 def commutation_graph(tag: Tag, mode: str = "numeric") -> CommutationGraph:
     """Commutation graph of the residual system of a tag."""
-    if mode == "numeric":
-        adj = _numeric_adjacency(tag.labels, tag.operators)
-    elif mode == "exact-twill":
-        lam, fam = _shift_multiply_data(tag.basis, mode)
-        mu = latin_inverse(lam)
-        x0 = parse_pair(tag.x0)
-        adj = _exact_adjacency(tag.labels, lambda p, q: (
-            latin_twill(lam, mu, p[1], x0[1], q[1]) and hadamard_twill(fam, lam, mu, p, x0, q)
-        ))
-    else:
-        raise ValueError(f"unsupported mode {mode!r} for a tag graph")
-    return CommutationGraph(vertices=tag.labels, adjacency=adj, mode=mode)
+    return _commutation_graph(tag.basis, tag.labels, tag.operators, mode, "exact-twill", tag.x0)
 
 
 # ---------------------------------------------------------------------------
@@ -396,8 +403,8 @@ def hadamard_fan(tag: Tag, fan: Fan, rng_seed: int = 0) -> HadamardFan:
     Each MASS of commuting unitaries is simultaneously diagonalized; the
     diagonals, stacked in MASS order, form a partial complex Hadamard matrix
     whose rows sum to zero, and the all-ones augmentation is again partial
-    Hadamard.  Columns are put in a canonical order (joint spectra are basis
-    independent, so this makes the result comparable across conjugations).
+    Hadamard.  Columns keep :func:`simul_diag`'s canonical order (joint spectra
+    are basis independent, so this makes the result comparable across conjugations).
     """
     if set(fan.universe) != set(tag.labels):
         raise ValueError("fan does not belong to this tag")
@@ -408,10 +415,6 @@ def hadamard_fan(tag: Tag, fan: Fan, rng_seed: int = 0) -> HadamardFan:
         u, diags = simul_diag(ops, rng_seed=rng_seed)
         rows = np.stack(diags)
         aug = np.vstack([np.ones(d, dtype=complex), rows])
-        order = _column_order(aug)
-        u = u[:, order]
-        rows = rows[:, order]
-        aug = aug[:, order]
         worst_sum = np.abs(rows.sum(axis=1)).max()
         if worst_sum > tols().row_sum:
             raise InvariantError(f"MASS {mass}: a diagonal row sums to {worst_sum:.3e}, not 0")
@@ -484,12 +487,8 @@ def fan_invariant(tag: Tag, fan: Fan, variant: str = "cue") -> FanInvariant:
     inters = tuple(
         sorted(len(a & b) for a, b in itertools.combinations(sets, 2))
     )
-    spectra = tuple(
-        sorted(
-            tuple(sorted(_member_spectrum(tag.operators[y], variant) for y in mass))
-            for mass in fan.masses
-        )
-    )
+    spectrum = {y: _member_spectrum(tag.operators[y], variant) for y in fan.universe}
+    spectra = tuple(sorted(tuple(sorted(spectrum[y] for y in mass)) for mass in fan.masses))
     return FanInvariant(
         variant=variant,
         mass_size_multiset=sizes,

@@ -33,12 +33,12 @@ def _fail(message: str):
 
 
 class _Cli(click.Group):
-    """The one error boundary: any ``ValueError`` (``InvariantError`` included) exits 2."""
+    """The one error boundary: any ``ValueError`` (``InvariantError`` included) or ``OSError`` exits 2."""
 
     def invoke(self, ctx):
         try:
             return super().invoke(ctx)
-        except ValueError as exc:
+        except (OSError, ValueError) as exc:
             _fail(str(exc))
 
 
@@ -246,10 +246,6 @@ def povm(cfg, basis_file, tag_label, strategy, hub_label):
         measure = tomo.refined_povm(tag, cover, hub_label, rng_seed=cfg.seed)
     complete, rank = tomo.is_info_complete(measure)
     d = measure.d
-    sum_residual = float(np.linalg.norm(sum(measure.elements) - np.eye(d)))
-    min_eig = min(
-        float(np.linalg.eigvalsh((e + e.conj().T) / 2).min()) for e in measure.elements
-    )
     _emit(cfg, {
         "strategy": strategy,
         "outcomes": len(measure),
@@ -260,8 +256,8 @@ def povm(cfg, basis_file, tag_label, strategy, hub_label):
         "crude_size_bound": (d - 1) * len(cover.selected) + 1,
         "s_bound": tomo.s_bound(d) if d >= 3 else None,
         "refined_bound": tomo.refined_bound(d, len(cover.selected)),
-        "sum_residual": sum_residual,
-        "min_element_eigenvalue": min_eig,
+        "sum_residual": measure.sum_residual,
+        "min_element_eigenvalue": measure.min_eigenvalue,
         "out": cfg.out or "(not written)",
     }, ser.povm_to_json(measure))
 

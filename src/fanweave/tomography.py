@@ -203,6 +203,9 @@ class Povm:
     d: int
     elements: tuple[np.ndarray, ...]
     pure_flags: tuple[bool, ...]
+    rank: int  # of the elements in the real space of Hermitian matrices
+    sum_residual: float  # ||sum A_j - I||_F
+    min_eigenvalue: float  # over all elements
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -213,24 +216,26 @@ class Povm:
 
 
 def make_povm(d: int, elements) -> Povm:
-    """Validate POVM axioms (sum to identity, PSD) and flag rank-one elements."""
+    """Validate POVM axioms (sum to identity, PSD), flag rank-one elements and record the rank."""
     elems = tuple(np.asarray(e, dtype=complex) for e in elements)
     total = sum(elems)
     dev = np.linalg.norm(total - np.eye(d))
     if dev > tols().povm_sum:
         raise InvariantError(f"POVM elements sum to identity only within {dev:.3e}")
+    spectra = [np.linalg.eigvalsh((e + e.conj().T) / 2.0) for e in elems]
     flags = []
-    for i, e in enumerate(elems):
+    for i, (e, w) in enumerate(zip(elems, spectra)):
         herm = np.linalg.norm(e - e.conj().T)
         if herm > tols().hermitian * max(1.0, np.linalg.norm(e)):
             raise InvariantError(f"POVM element {i} is not Hermitian")
-        w = np.linalg.eigvalsh((e + e.conj().T) / 2.0)
         if w.min() < -tols().psd:
             raise InvariantError(f"POVM element {i} has negative eigenvalue {w.min():.3e}")
         top = w[-1]
         second = w[-2] if len(w) > 1 else 0.0
         flags.append(bool(top > 1e-12 and second <= tols().purity_ratio * top))
-    return Povm(d=d, elements=elems, pure_flags=tuple(flags))
+    real_rows = np.stack([_herm_to_real((e + e.conj().T) / 2.0) for e in elems])
+    return Povm(d=d, elements=elems, pure_flags=tuple(flags), rank=int(np.linalg.matrix_rank(real_rows)),
+                sum_residual=float(dev), min_eigenvalue=min(float(w.min()) for w in spectra))
 
 
 def _assemble_povm(tag: Tag, kept_vectors, n_selected: int) -> Povm:
@@ -376,11 +381,9 @@ def _real_to_herm(v: np.ndarray, d: int) -> np.ndarray:
 def is_info_complete(povm: Povm) -> tuple[bool, int]:
     """Rank of the POVM elements in the real space of Hermitian matrices.
 
-    Complete iff the rank equals d^2.
+    Complete iff the rank equals d^2; the rank is the one :func:`make_povm` recorded.
     """
-    m = np.stack([_herm_to_real((e + e.conj().T) / 2.0) for e in povm.elements])
-    rank = int(np.linalg.matrix_rank(m))
-    return rank == povm.d * povm.d, rank
+    return povm.rank == povm.d * povm.d, povm.rank
 
 
 def reconstruct(rho, povm: Povm) -> tuple[np.ndarray, float]:

@@ -3,6 +3,7 @@
 import numpy as np
 
 import fanweave as fw
+from fanweave.basis import parse_pair
 
 
 def random_density(d: int, rng) -> np.ndarray:
@@ -43,3 +44,20 @@ def brute_force_cliques(labels, adjacency) -> set[frozenset]:
                 all_cliques.append(frozenset(combo))
     maximal = [c for c in all_cliques if not any(c < other for other in all_cliques)]
     return {frozenset(labels[i] for i in c) for c in maximal}
+
+
+def predicate_adjacency(basis: fw.UnitaryBasis, x0: str | None = None) -> np.ndarray:
+    """Pair-by-pair oracle from the paper's predicates: criss-cross untagged, twill at the tag x0."""
+    lam, fam = basis.provenance.latin, basis.provenance.hadamard
+    mu = fw.latin_inverse(lam)
+    pairs = [parse_pair(x) for x in basis.labels if x != x0]
+    t0 = None if x0 is None else parse_pair(x0)
+    adj = np.eye(len(pairs), dtype=bool)
+    for i, p in enumerate(pairs):
+        for j, q in enumerate(pairs[:i]):
+            if t0 is None:
+                adj[i, j] = fw.latin_crisscross(lam, p[1], q[1]) and fw.hadamard_crisscross(fam, lam, p, q)
+            else:
+                adj[i, j] = fw.latin_twill(lam, mu, p[1], t0[1], q[1]) and fw.hadamard_twill(fam, lam, mu, p, t0, q)
+            adj[j, i] = adj[i, j]
+    return adj

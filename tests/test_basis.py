@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 
 import fanweave as fw
+from fanweave import serialize as ser
 from fanweave.basis import label_sort_key, pair_label
+from fanweave.combinatorics import LATIN_VARIANTS
 from fanweave.errors import InvariantError
 
-from helpers import brute_force_cliques, transformed_basis
+from helpers import brute_force_cliques, predicate_adjacency, transformed_basis
 
 
 def labelset(pairs):
@@ -150,6 +152,19 @@ class TestTwill:
             assert fw.twill_check(basis, x, x0, y) == direct
 
 
+@pytest.fixture(scope="module")
+def monomial_bases(weyl, z3f_basis):
+    """Shift-and-multiply fixtures with exact provenance, keyed by name."""
+    bases = {f"weyl{d}": weyl(d) for d in range(2, 9)}
+    bases["z3f"] = z3f_basis
+    for variant in LATIN_VARIANTS:
+        lam = fw.latin_from_group(fw.group_s3(), variant)
+        bases[f"s3-{variant}"] = fw.build_shift_multiply(lam, fw.fourier_family(6))
+    z2xz2 = fw.group_product(fw.group_cyclic(2), fw.group_cyclic(2))
+    bases["z2xz2"] = fw.build_shift_multiply(fw.latin_from_group(z2xz2, "e"), fw.fourier_family(4))
+    return bases
+
+
 class TestCommutationGraph:
     def test_weyl_rule(self, weyl):
         basis = weyl(5)
@@ -189,13 +204,40 @@ class TestCommutationGraph:
             exact = fw.basis_commutation_graph(basis, mode="exact-crisscross")
             assert np.array_equal(numeric.adjacency, exact.adjacency), basis.provenance.kind
 
-    def test_exact_and_numeric_twill_agree_all_tags_small(self, weyl, z3f_basis):
-        for basis in (weyl(3), weyl(4), z3f_basis):
+    def test_exact_and_numeric_twill_agree_all_tags_small(self, monomial_bases):
+        for name, basis in monomial_bases.items():
             for x0 in basis.labels:
                 tag = fw.tag_at(basis, x0)
                 numeric = fw.commutation_graph(tag, mode="numeric")
                 exact = fw.commutation_graph(tag, mode="exact-twill")
-                assert np.array_equal(numeric.adjacency, exact.adjacency)
+                assert np.array_equal(numeric.adjacency, exact.adjacency), (name, x0)
+
+    def test_exact_graphs_match_predicate_oracle(self, monomial_bases):
+        for name, basis in monomial_bases.items():
+            if basis.d > 6:
+                continue
+            exact = fw.basis_commutation_graph(basis, mode="exact-crisscross")
+            assert np.array_equal(exact.adjacency, predicate_adjacency(basis)), name
+            tags = basis.labels if basis.d < 6 else basis.labels[::12]
+            for x0 in tags:
+                exact = fw.commutation_graph(fw.tag_at(basis, x0), mode="exact-twill")
+                assert np.array_equal(exact.adjacency, predicate_adjacency(basis, x0)), (name, x0)
+
+    def test_forged_provenance_refused(self, weyl):
+        doc = ser.basis_to_json(weyl(4))
+        ops = doc["operators"]
+        ops["0,1"], ops["1,0"] = ops["1,0"], ops["0,1"]
+        forged = ser.basis_from_json(doc)
+        with pytest.raises(ValueError, match="exact-crisscross.*does not match operator"):
+            fw.basis_commutation_graph(forged, mode="exact-crisscross")
+        for x0 in ("0,0", "0,1", "2,3"):
+            with pytest.raises(ValueError, match="exact-twill.*does not match operator"):
+                fw.commutation_graph(fw.tag_at(forged, x0), mode="exact-twill")
+        w3 = weyl(3)
+        for labels, prov in ((w3.labels, weyl(4).provenance), (w3.labels[:-1] + ("3,3",), w3.provenance)):
+            misfit = fw.unitary_basis(labels, dict(zip(labels, w3.operators.values())), prov)
+            with pytest.raises(ValueError, match="exact-crisscross.*does not index the labels"):
+                fw.basis_commutation_graph(misfit, mode="exact-crisscross")
 
 
 class TestEnumerateMass:

@@ -124,6 +124,18 @@ class TestFans:
         assert result.exit_code == 0
         assert "mass_count: 7" in result.output
 
+    def test_forged_provenance_refused_in_exact_mode(self, runner, tmp_path, weyl):
+        doc = ser.basis_to_json(weyl(4))
+        doc["operators"]["0,1"], doc["operators"]["1,0"] = doc["operators"]["1,0"], doc["operators"]["0,1"]
+        path = tmp_path / "forged.json"
+        ser.write_json(str(path), doc)
+        result = runner.invoke(main, ["fans", str(path), "--tag", "0,0", "--mode", "exact-twill"])
+        assert result.exit_code == 2
+        assert result.output.startswith("error: mode 'exact-twill': provenance does not match operator")
+        result = invoke(runner, ["fans", str(path), "--tag", "0,0"])
+        assert result.exit_code == 0
+        assert "mass_count: 7" in result.output
+
     def test_fan_artifact_byte_identical(self, runner, tmp_path, weyl):
         path = tmp_path / "weyl4.json"
         write_basis(path, weyl(4))
@@ -284,6 +296,18 @@ def mutate(doc, rng):
         choices = [r for r in _REPLACEMENTS if type(r) is not type(node)]
         parent[key] = copy.deepcopy(choices[rng.integers(len(choices))])
     return doc
+
+
+@pytest.mark.parametrize("args", [
+    ["construct", "--kind", "shift-multiply", "--group", "s3", "--hadamard", "{tmp}/missing.json"],
+    ["--out", "{tmp}/missing/x.json", "construct", "--kind", "weyl", "--d", "3"],
+    ["fans", "{tmp}/weyl4.json", "--tag", "0,0", "--dot", "{tmp}/missing/x.dot"],
+])
+def test_io_errors_exit_2(runner, tmp_path, weyl, args):
+    write_basis(tmp_path / "weyl4.json", weyl(4))
+    result = runner.invoke(main, [a.format(tmp=tmp_path) for a in args])
+    assert result.exit_code == 2
+    assert result.output.startswith("error: ") and "No such file or directory" in result.output
 
 
 class TestMalformedBasisJson:

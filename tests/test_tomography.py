@@ -246,6 +246,7 @@ class TestInfoComplete:
         complete, rank = fw.is_info_complete(povm)
         assert not complete
         assert rank == d
+        assert povm.sum_residual == 0.0 and povm.min_eigenvalue == 0.0
 
     def test_crude_povms_are_complete(self, weyl):
         for d in (3, 4):
