@@ -188,7 +188,6 @@ class Tag:
     """Residual unitary system of a basis at a label: ``W_x = U_x0* U_x``."""
 
     x0: str
-    u_x0: np.ndarray
     labels: tuple[str, ...]
     operators: dict[str, np.ndarray]
     d: int
@@ -207,7 +206,7 @@ def tag_at(basis: UnitaryBasis, x0: str) -> Tag:
         if t > tols().trace:
             raise InvariantError(f"tag at {x0}: member {x} is not traceless, |tr| = {t:.3e}")
     _check_hs_family(rest, w, basis.d, f"tag at {x0}")
-    return Tag(x0=x0, u_x0=u0, labels=rest, operators=w, d=basis.d, basis=basis)
+    return Tag(x0=x0, labels=rest, operators=w, d=basis.d, basis=basis)
 
 
 def twill_check(basis: UnitaryBasis, x: str, x0: str, y: str) -> bool:
@@ -230,11 +229,32 @@ class CommutationGraph:
     mode: str
 
 
+_BLOCK_BYTES = 32 * 2**20
+
+
 def _numeric_adjacency(labels, operators) -> np.ndarray:
+    """Adjacency from ``||A_a A_b - A_b A_a||_F``, computed for one block of rows ``a`` at a time.
+
+    ``rows`` stacks the members vertically ((n d) x d) and ``cols`` side by side
+    (d x (n d)), so the BLAS products ``rows[a] @ cols[b]`` and ``rows[b] @ cols[a]``
+    hold ``A_a A_b`` and ``A_b A_a``.  Only pairs with ``b`` at or after the
+    block's first row are computed; the upper triangle is mirrored.
+    """
     mats = np.stack([operators[x] for x in labels])
-    prod = np.einsum("aij,bjk->abik", mats, mats)
-    resid = np.linalg.norm(prod - prod.transpose(1, 0, 2, 3), axis=(2, 3))
-    adj = resid <= tols().commutation
+    n, d, _ = mats.shape
+    rows = mats.reshape(n * d, d)
+    cols = np.ascontiguousarray(mats.transpose(1, 0, 2)).reshape(d, n * d)
+    # The byte budget bounds memory at O(block n d^2) instead of O(n^2 d^2): two complex products per row.
+    block = max(1, _BLOCK_BYTES // (32 * n * d * d))
+    resid = np.zeros((n, n))
+    for start in range(0, n, block):
+        stop = min(start + block, n)
+        ab = (rows[start * d : stop * d] @ cols[:, start * d :]).reshape(stop - start, d, n - start, d)
+        ba = (rows[start * d :] @ cols[:, start * d : stop * d]).reshape(n - start, d, stop - start, d)
+        ab -= ba.transpose(2, 1, 0, 3)
+        resid[start:stop, start:] = np.sqrt((ab.real**2 + ab.imag**2).sum(axis=(1, 3)))
+    adj = np.triu(resid <= tols().commutation, 1)
+    adj |= adj.T
     np.fill_diagonal(adj, True)
     return adj
 
@@ -464,8 +484,7 @@ class FanInvariant:
     spectra: tuple
 
 
-def _member_spectrum(op: np.ndarray, variant: str):
-    angles = unit_spectrum_angles(op)
+def _member_spectrum(angles: tuple[float, ...], variant: str):
     if variant == "cue":
         return angles
     partition = multiplicity_partition(angles)
@@ -487,7 +506,8 @@ def fan_invariant(tag: Tag, fan: Fan, variant: str = "cue") -> FanInvariant:
     inters = tuple(
         sorted(len(a & b) for a, b in itertools.combinations(sets, 2))
     )
-    spectrum = {y: _member_spectrum(tag.operators[y], variant) for y in fan.universe}
+    angles = unit_spectrum_angles(np.stack([tag.operators[y] for y in fan.universe]))
+    spectrum = {y: _member_spectrum(a, variant) for y, a in zip(fan.universe, angles)}
     spectra = tuple(sorted(tuple(sorted(spectrum[y] for y in mass)) for mass in fan.masses))
     return FanInvariant(
         variant=variant,

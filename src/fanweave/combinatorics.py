@@ -30,9 +30,6 @@ class FiniteGroup:
     identity: int
     inverse: np.ndarray  # inverse[a] = label of a^-1
 
-    def mul(self, a: int, b: int) -> int:
-        return int(self.cayley[a, b])
-
 
 def group_from_cayley(table) -> FiniteGroup:
     """Validate a Cayley table and wrap it as a :class:`FiniteGroup`.

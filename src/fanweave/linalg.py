@@ -30,17 +30,34 @@ def as_square_matrix(a, name: str = "matrix") -> np.ndarray:
     return m
 
 
-def round_unit_angle(z: complex) -> float:
-    """Principal angle of ``z`` in [0, 2*pi), rounded at the invariant resolution."""
-    theta = float(np.angle(z)) % _TWO_PI
+def _round_angle(theta: float) -> float:
     r = round(theta, ANGLE_DECIMALS)
     return 0.0 if r >= _TWO_PI_ROUNDED else r
 
 
-def unit_spectrum_angles(a) -> tuple[float, ...]:
-    """Sorted rounded angles of the eigenvalues of a (unitary) matrix."""
-    lam = np.linalg.eigvals(as_square_matrix(a))
-    return tuple(sorted(round_unit_angle(z) for z in lam))
+def round_unit_angle(z: complex) -> float:
+    """Principal angle of ``z`` in [0, 2*pi), rounded at the invariant resolution."""
+    return _round_angle(float(np.angle(z)) % _TWO_PI)
+
+
+def unit_spectrum_angles(a):
+    """Sorted rounded angles of the eigenvalues of a (unitary) matrix.
+
+    A stack of shape ``(k, d, d)`` gives the list of its k members' angle
+    tuples, from one batched ``eigvals`` call.
+    """
+    m = np.asarray(a, dtype=complex)
+    stacked = m.ndim == 3
+    if not stacked:
+        m = as_square_matrix(m)
+    elif m.shape[1] != m.shape[2]:
+        raise ValueError(f"matrix stack must have shape (k, d, d), got {m.shape}")
+    elif not np.isfinite(m).all():
+        raise ValueError("matrix stack contains non-finite entries")
+    # round_unit_angle of every eigenvalue, with the principal angles taken as one array
+    theta = (np.angle(np.linalg.eigvals(m)) % _TWO_PI).tolist()
+    angles = [tuple(sorted(map(_round_angle, row))) for row in (theta if stacked else [theta])]
+    return angles if stacked else angles[0]
 
 
 def multiplicity_partition(angles) -> tuple[int, ...]:

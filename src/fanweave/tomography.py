@@ -298,7 +298,9 @@ def refined_povm(tag: Tag, cover: CoverSelection, hub: str, rng_seed: int = 0) -
     if hub not in tag.operators:
         raise ValueError(f"hub {hub!r} is not a member of the tag system")
     d = tag.d
-    hub_sig = multiplicity_partition(unit_spectrum_angles(tag.operators[hub]))
+    angles = unit_spectrum_angles(np.stack([tag.operators[y] for y in tag.labels]))
+    partitions = {y: multiplicity_partition(a) for y, a in zip(tag.labels, angles)}
+    hub_sig = partitions[hub]
     if hub_sig[0] < 2:
         raise ValueError(f"hub {hub!r} has simple spectrum; a degenerate hub is required")
     cover_sets = [frozenset(m) for m in cover.masses]
@@ -309,7 +311,7 @@ def refined_povm(tag: Tag, cover: CoverSelection, hub: str, rng_seed: int = 0) -
 
     groups: dict[tuple[int, ...], set[str]] = {}
     for y in tag.labels:
-        if multiplicity_partition(unit_spectrum_angles(tag.operators[y])) != hub_sig:
+        if partitions[y] != hub_sig:
             continue
         hits = tuple(i for i, s in enumerate(cover_sets) if y in s)
         if len(hits) < 2:

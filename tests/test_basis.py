@@ -1,11 +1,14 @@
 import itertools
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 import fanweave as fw
 from fanweave import serialize as ser
-from fanweave.basis import label_sort_key, pair_label
+from fanweave.basis import _BLOCK_BYTES, label_sort_key, pair_label
 from fanweave.combinatorics import LATIN_VARIANTS
 from fanweave.errors import InvariantError
 
@@ -222,6 +225,36 @@ class TestCommutationGraph:
             for x0 in tags:
                 exact = fw.commutation_graph(fw.tag_at(basis, x0), mode="exact-twill")
                 assert np.array_equal(exact.adjacency, predicate_adjacency(basis, x0)), (name, x0)
+
+    def test_multi_block_numeric_graph_matches_exact(self, weyl):
+        basis = weyl(12)
+        n, d = len(basis.labels) - 1, basis.d
+        assert _BLOCK_BYTES // (32 * n * d * d) < n  # the dense kernel splits the rows into blocks
+        rng = np.random.default_rng(12)
+        v1, v2 = fw.random_unitary(d, rng), fw.random_unitary(d, rng)
+        perm = rng.permutation(len(basis.labels))
+        renamed = {basis.labels[p]: f"t{i}" for i, p in enumerate(perm)}
+        ops = {renamed[basis.labels[p]]: v1 @ basis.operators[basis.labels[p]] @ v2 for p in perm}
+        conj = fw.unitary_basis(list(ops), ops, fw.Provenance(kind="transformed"))
+        for x0 in ("0,0", "1,0", "3,4", "6,6"):
+            exact = fw.commutation_graph(fw.tag_at(basis, x0), mode="exact-twill")
+            numeric = fw.commutation_graph(fw.tag_at(conj, renamed[x0]))
+            order = [numeric.vertices.index(renamed[x]) for x in exact.vertices]
+            assert np.array_equal(numeric.adjacency[np.ix_(order, order)], exact.adjacency), x0
+
+    def test_dense_graph_memory_bounded(self):
+        code = (
+            "import resource, fanweave as fw\n"
+            "fan = fw.fan_representation(fw.build_weyl(16), '0,0')\n"
+            "assert len(fan.masses) == 31\n"
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+        )
+        src = os.path.dirname(os.path.dirname(fw.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+        assert run.returncode == 0, run.stderr
+        peak_mib = int(run.stdout) / 1024  # ru_maxrss is in KiB on Linux
+        assert peak_mib < 250, peak_mib
 
     def test_forged_provenance_refused(self, weyl):
         doc = ser.basis_to_json(weyl(4))

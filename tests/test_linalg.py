@@ -7,6 +7,24 @@ from fanweave.errors import InvariantError
 from helpers import random_density
 
 
+class TestUnitSpectrumAngles:
+    def test_stack_matches_per_matrix_calls(self, weyl):
+        rng = np.random.default_rng(3)
+        near_one = np.diag(np.exp(1j * np.array([-1e-10, np.pi / 2, np.pi])))  # first angle folds from 2 pi
+        stack = np.stack(
+            [near_one, weyl(3).operators["1,1"], weyl(3).operators["0,1"], fw.random_unitary(3, rng)]
+        )
+        per_matrix = [fw.linalg.unit_spectrum_angles(m) for m in stack]
+        assert per_matrix[0][0] == 0.0
+        assert fw.linalg.unit_spectrum_angles(stack) == per_matrix
+        for m, angles in zip(stack, per_matrix):  # reference: round_unit_angle of each eigenvalue
+            assert angles == tuple(sorted(fw.linalg.round_unit_angle(z) for z in np.linalg.eigvals(m)))
+
+    def test_rejects_non_square_stack(self):
+        with pytest.raises(ValueError, match="shape"):
+            fw.linalg.unit_spectrum_angles(np.ones((2, 2, 3)))
+
+
 class TestIsUnitary:
     def test_identity(self):
         assert fw.is_unitary(np.eye(3), tol=1e-10)
