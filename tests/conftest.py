@@ -34,3 +34,11 @@ def z3f_basis():
     """Right-subtraction latin square over Z_3 with the Fourier matrix."""
     lam = fw.latin_from_group(fw.group_cyclic(3), "f")
     return fw.build_shift_multiply(lam, fw.fourier_family(3), params={"group": "z3", "variant": "f"})
+
+
+@pytest.fixture(scope="session")
+def s3xz2_basis():
+    """Shift-and-multiply basis over S3 x Z2 (d=12): its tag fans are the largest in the tests."""
+    group = fw.group_product(fw.group_s3(), fw.group_cyclic(2))
+    lam = fw.latin_from_group(group, "e")
+    return fw.build_shift_multiply(lam, fw.fourier_family(12), params={"group": "s3xz2", "variant": "e"})

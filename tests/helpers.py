@@ -46,6 +46,42 @@ def brute_force_cliques(labels, adjacency) -> set[frozenset]:
     return {frozenset(labels[i] for i in c) for c in maximal}
 
 
+def brute_force_cover(fan: fw.Fan) -> tuple[int, ...]:
+    """Cover oracle without reductions: iterative-deepening lexicographic search over all MASSes.
+
+    Returns the lexicographically smallest minimum cover, as ``minimal_cover`` must.
+    """
+    sets = [frozenset(m) for m in fan.masses]
+    universe = frozenset(fan.universe)
+    n = len(sets)
+    max_size = max(len(s) for s in sets)
+    containing = {x: tuple(i for i in range(n) if x in sets[i]) for x in universe}
+
+    def dfs(start: int, chosen: list[int], uncovered: frozenset, slots: int):
+        if not uncovered:
+            return list(chosen)
+        if slots == 0 or slots * max_size < len(uncovered):
+            return None
+        # every uncovered element must still be coverable by an index >= start
+        if any(containing[x][-1] < start for x in uncovered):
+            return None
+        for i in range(start, n):
+            if not (sets[i] & uncovered):
+                continue
+            chosen.append(i)
+            hit = dfs(i + 1, chosen, uncovered - sets[i], slots - 1)
+            if hit is not None:
+                return hit
+            chosen.pop()
+        return None
+
+    for k in range(1, n + 1):
+        hit = dfs(0, [], universe, k)
+        if hit is not None:
+            return tuple(hit)
+    raise AssertionError("fan does not cover its universe")
+
+
 def predicate_adjacency(basis: fw.UnitaryBasis, x0: str | None = None) -> np.ndarray:
     """Pair-by-pair oracle from the paper's predicates: criss-cross untagged, twill at the tag x0."""
     lam, fam = basis.provenance.latin, basis.provenance.hadamard

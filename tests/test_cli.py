@@ -7,6 +7,7 @@ from click.testing import CliRunner
 
 import fanweave as fw
 from fanweave import serialize as ser
+from fanweave import tomography as tomo
 from fanweave.cli import main
 
 from helpers import transformed_basis
@@ -203,6 +204,27 @@ class TestMubPovmPpt:
         assert report["rank"] == 16
         povm = ser.povm_from_json(ser.read_json(str(out)))
         assert len(povm) == 16
+
+    def test_povm_s3xz2_largest_cover(self, runner, tmp_path, s3xz2_basis):
+        path = tmp_path / "s3xz2.json"
+        write_basis(path, s3xz2_basis)
+        result = invoke(runner, ["--format", "json", "povm", str(path), "--tag", "0,0"])
+        assert result.exit_code == 0
+        report = json.loads(result.output)
+        summary = (report["outcomes"], report["cover_size"], report["complete"], report["rank"])
+        assert summary == (914, 83, True, 144)
+        cover = fw.minimal_cover(fw.fan_representation(s3xz2_basis, "0,0"))
+        assert cover.certificate["nodes_explored"] <= 100
+
+    def test_povm_over_cover_budget_exits_2(self, runner, tmp_path, pauli2, monkeypatch):
+        path = tmp_path / "pauli2.json"
+        write_basis(path, pauli2)
+        # the 15 MASSes of a pauli2 tag survive both reductions, so the search explores 19 nodes
+        monkeypatch.setattr(tomo, "_COVER_NODE_BUDGET", 10)
+        result = runner.invoke(main, ["povm", str(path), "--tag", "I,I"])
+        assert result.exit_code == 2
+        assert result.output.startswith("error: minimal cover search over a fan of 15 MASSes")
+        assert "10 nodes explored" in result.output
 
     def test_ppt(self, runner, tmp_path):
         out = tmp_path / "cert.json"

@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 
 import fanweave as fw
+from fanweave import tomography as tomo
 from fanweave.basis import pair_label
+from fanweave.combinatorics import LATIN_VARIANTS
 from fanweave.errors import InvariantError, UnsupportedConfigurationError
 
-from helpers import random_density, random_pure_density
+from helpers import brute_force_cover, random_density, random_pure_density
 
 
 def tag_and_fan(basis, x0):
@@ -112,6 +114,80 @@ class TestMinimalCover:
             cover = fw.minimal_cover(fan)
             covered = set(itertools.chain.from_iterable(cover.masses))
             assert covered == set(fan.universe)
+
+
+def random_set_fan(rng) -> fw.Fan:
+    """A random set system as a fan, with nested sets and sets that agree off a covered part."""
+    n = int(rng.integers(5, 13))
+    sets = [set(rng.choice(n, int(rng.integers(2, n // 2 + 2)), replace=False).tolist())
+            for _ in range(int(rng.integers(4, 10)))]
+    for _ in range(int(rng.integers(1, 4))):  # subsets of existing sets
+        base = sorted(sets[int(rng.integers(len(sets)))])
+        sets.append(set(rng.choice(base, int(rng.integers(1, len(base) + 1)), replace=False).tolist()))
+    for _ in range(int(rng.integers(1, 4))):  # a set grown by part of another: equal once that is covered
+        a, b = (sets[int(i)] for i in rng.integers(len(sets), size=2))
+        sets.append(a | set(rng.choice(sorted(b), int(rng.integers(1, len(b) + 1)), replace=False).tolist()))
+    for x in set(range(n)).difference(*sets):
+        sets[int(rng.integers(len(sets)))].add(x)
+    order = rng.permutation(len(sets))
+    return fw.Fan(universe=tuple(f"e{x}" for x in range(n)),
+                  masses=tuple(tuple(f"e{x}" for x in sorted(sets[i])) for i in order))
+
+
+@pytest.fixture(scope="module")
+def cover_bases(weyl, pauli2):
+    bases = {f"weyl{d}": weyl(d) for d in range(3, 9)}
+    for variant in LATIN_VARIANTS:
+        bases[f"s3-{variant}"] = fw.build_shift_multiply(fw.latin_from_group(fw.group_s3(), variant),
+                                                         fw.fourier_family(6))
+    bases["pauli2"] = pauli2
+    z2xz2 = fw.group_product(fw.group_cyclic(2), fw.group_cyclic(2))
+    bases["z2xz2"] = fw.build_shift_multiply(fw.latin_from_group(z2xz2, "e"), fw.fourier_family(4))
+    return bases
+
+
+class TestCoverReductions:
+    def test_matches_oracle_on_every_tag(self, cover_bases):
+        for name, basis in cover_bases.items():
+            for x0 in basis.labels:
+                fan = fw.fan_representation(basis, x0)
+                assert fw.minimal_cover(fan).selected == brute_force_cover(fan), (name, x0)
+
+    def test_matches_oracle_on_s3xz2(self, s3xz2_basis):
+        fan = fw.fan_representation(s3xz2_basis, "4,0")
+        assert fw.minimal_cover(fan).selected == brute_force_cover(fan)
+
+    def test_matches_oracle_on_random_set_systems(self):
+        searched = forced = dominated = 0
+        for seed in range(600):
+            fan = random_set_fan(np.random.default_rng(seed))
+            cover = fw.minimal_cover(fan)
+            assert cover.selected == brute_force_cover(fan), seed
+            assert cover.certificate["optimal_size"] == len(cover.selected)
+            searched += cover.certificate["nodes_explored"] > 1
+            forced += cover.certificate["forced"] > 0
+            dominated += cover.certificate["dominated"] > 0
+        # both reductions fire, and many systems leave a remainder to search
+        assert min(searched, forced, dominated) >= 200
+
+    def test_certificate_counts_reductions(self, weyl):
+        _, fan = tag_and_fan(weyl(8), "0,0")
+        cert = fw.minimal_cover(fan).certificate
+        assert cert["optimal_size"] == 12
+        assert cert["sizes_exhausted_below"] == 11
+        assert (cert["forced"], cert["dominated"], cert["nodes_explored"]) == (12, 3, 1)
+        assert "forced" in cert["method"] and "dominated" in cert["method"]
+
+    def test_node_budget_refuses(self, monkeypatch):
+        labels = tuple("abcdef")
+        fan = fw.Fan(universe=labels, masses=tuple((labels[i], labels[(i + 1) % 6]) for i in range(6)))
+        cover = fw.minimal_cover(fan)
+        assert cover.selected == (0, 2, 4)
+        assert cover.certificate["forced"] == cover.certificate["dominated"] == 0
+        assert cover.certificate["nodes_explored"] > 5
+        monkeypatch.setattr(tomo, "_COVER_NODE_BUDGET", 5)
+        with pytest.raises(UnsupportedConfigurationError, match=r"6 MASSes.*5 nodes explored"):
+            fw.minimal_cover(fan)
 
 
 class TestBounds:
