@@ -31,6 +31,7 @@ from .errors import InvariantError
 from .linalg import (
     as_square_matrix,
     bipartite_dim,
+    commutator_norms,
     eigen_sort_key,
     gram_deviation,
     multiplicity_partition,
@@ -63,14 +64,13 @@ def parse_pair(label: str) -> tuple[int, int]:
 
 
 def label_sort_key(label: str):
+    """Comma parts compared as integers where they match ``[+-]?\\d+``, then the label itself to break ties."""
     key = []
     for part in label.split(","):
         p = part.strip()
-        if p.lstrip("+-").isdigit():
-            key.append((0, int(p), ""))
-        else:
-            key.append((1, 0, p))
-    return tuple(key)
+        digits = p[1:] if p[:1] in ("+", "-") else p
+        key.append((0, int(p), "") if digits.isdecimal() else (1, 0, p))
+    return tuple(key), label
 
 
 # ---------------------------------------------------------------------------
@@ -229,31 +229,9 @@ class CommutationGraph:
     mode: str
 
 
-_BLOCK_BYTES = 32 * 2**20
-
-
 def _numeric_adjacency(labels, operators) -> np.ndarray:
-    """Adjacency from ``||A_a A_b - A_b A_a||_F``, computed for one block of rows ``a`` at a time.
-
-    ``rows`` stacks the members vertically ((n d) x d) and ``cols`` side by side
-    (d x (n d)), so the BLAS products ``rows[a] @ cols[b]`` and ``rows[b] @ cols[a]``
-    hold ``A_a A_b`` and ``A_b A_a``.  Only pairs with ``b`` at or after the
-    block's first row are computed; the upper triangle is mirrored.
-    """
-    mats = np.stack([operators[x] for x in labels])
-    n, d, _ = mats.shape
-    rows = mats.reshape(n * d, d)
-    cols = np.ascontiguousarray(mats.transpose(1, 0, 2)).reshape(d, n * d)
-    # The byte budget bounds memory at O(block n d^2) instead of O(n^2 d^2): two complex products per row.
-    block = max(1, _BLOCK_BYTES // (32 * n * d * d))
-    resid = np.zeros((n, n))
-    for start in range(0, n, block):
-        stop = min(start + block, n)
-        ab = (rows[start * d : stop * d] @ cols[:, start * d :]).reshape(stop - start, d, n - start, d)
-        ba = (rows[start * d :] @ cols[:, start * d : stop * d]).reshape(n - start, d, stop - start, d)
-        ab -= ba.transpose(2, 1, 0, 3)
-        resid[start:stop, start:] = np.sqrt((ab.real**2 + ab.imag**2).sum(axis=(1, 3)))
-    adj = np.triu(resid <= tols().commutation, 1)
+    """Adjacency from ``||A_a A_b - A_b A_a||_F``: the upper triangle of :func:`commutator_norms`, mirrored."""
+    adj = np.triu(commutator_norms(np.stack([operators[x] for x in labels])) <= tols().commutation, 1)
     adj |= adj.T
     np.fill_diagonal(adj, True)
     return adj

@@ -22,7 +22,7 @@ from .basis import Fan, Tag, label_sort_key
 from .config import tols
 from .errors import InvariantError, UnsupportedConfigurationError
 from .linalg import (
-    eig_normal,
+    as_square_matrix,
     is_unitary,
     multiplicity_partition,
     round_unit_angle,
@@ -278,35 +278,39 @@ class Povm:
 
 def make_povm(d: int, elements) -> Povm:
     """Validate POVM axioms (sum to identity, PSD); record pure flags, real-embedded rows and their rank."""
-    elems = tuple(np.asarray(e, dtype=complex) for e in elements)
-    total = sum(elems)
-    dev = np.linalg.norm(total - np.eye(d))
+    elems = tuple(as_square_matrix(e, f"POVM element {i}") for i, e in enumerate(elements))
+    stack = np.stack(elems) if elems else np.zeros((0, d, d), dtype=complex)
+    dev = np.linalg.norm(stack.sum(axis=0) - np.eye(d))
     if dev > tols().povm_sum:
         raise InvariantError(f"POVM elements sum to identity only within {dev:.3e}")
-    spectra = [np.linalg.eigvalsh((e + e.conj().T) / 2.0) for e in elems]
-    flags = []
-    for i, (e, w) in enumerate(zip(elems, spectra)):
-        herm = np.linalg.norm(e - e.conj().T)
-        if herm > tols().hermitian * max(1.0, np.linalg.norm(e)):
+    adjoint = stack.conj().transpose(0, 2, 1)
+    herm = (stack + adjoint) / 2.0
+    w = np.linalg.eigvalsh(herm)
+    scale = np.maximum(1.0, np.linalg.norm(stack, axis=(1, 2)))
+    not_hermitian = np.linalg.norm(stack - adjoint, axis=(1, 2)) > tols().hermitian * scale
+    negative = w[:, 0] < -tols().psd
+    failing = np.flatnonzero(not_hermitian | negative)
+    if len(failing):
+        i = failing[0]
+        if not_hermitian[i]:
             raise InvariantError(f"POVM element {i} is not Hermitian")
-        if w.min() < -tols().psd:
-            raise InvariantError(f"POVM element {i} has negative eigenvalue {w.min():.3e}")
-        top = w[-1]
-        second = w[-2] if len(w) > 1 else 0.0
-        flags.append(bool(top > 1e-12 and second <= tols().purity_ratio * top))
-    real_rows = np.stack([_herm_to_real((e + e.conj().T) / 2.0) for e in elems])
-    return Povm(d=d, elements=elems, pure_flags=tuple(flags), rank=int(np.linalg.matrix_rank(real_rows)),
-                sum_residual=float(dev), min_eigenvalue=min(float(w.min()) for w in spectra),
-                real_rows=real_rows)
+        raise InvariantError(f"POVM element {i} has negative eigenvalue {w[i, 0]:.3e}")
+    top = w[:, -1]
+    second = w[:, -2] if d > 1 else 0.0
+    flags = (top > 1e-12) & (second <= tols().purity_ratio * top)
+    real_rows = _herm_to_real(herm)
+    return Povm(d=d, elements=elems, pure_flags=tuple(map(bool, flags)),
+                rank=int(np.linalg.matrix_rank(real_rows)), sum_residual=float(dev),
+                min_eigenvalue=float(w.min()), real_rows=real_rows)
 
 
 def _assemble_povm(tag: Tag, kept_vectors, n_selected: int) -> Povm:
     d = tag.d
-    projectors = [np.outer(v, v.conj()) for v in kept_vectors]
+    v = np.array(kept_vectors)
+    projectors = v[:, :, None] * v.conj()[:, None, :]
     # Each cover MASS adds orthonormal vectors, so I - c * sum is PSD; make_povm checks it.
     c = 1.0 / n_selected
-    completion = np.eye(d) - c * sum(projectors)
-    povm = make_povm(d, [completion] + [c * p for p in projectors])
+    povm = make_povm(d, [np.eye(d) - c * projectors.sum(axis=0), *(c * projectors)])
     complete, rank = is_info_complete(povm)
     if not complete:
         raise InvariantError(
@@ -330,16 +334,6 @@ def crude_povm(tag: Tag, cover: CoverSelection, rng_seed: int = 0) -> Povm:
         u = mass_eigenbasis(tag, cover.fan.masses[idx], rng_seed=rng_seed)
         kept.extend(u[:, j] for j in range(d - 1))
     return _assemble_povm(tag, kept, len(cover.selected))
-
-
-def _eigenspace_projectors(op: np.ndarray) -> list[np.ndarray]:
-    dec = eig_normal(op)
-    keys = [round_unit_angle(z) for z in dec.eigenvalues]
-    projectors = []
-    for key in sorted(set(keys)):
-        cols = dec.eigenvectors[:, [i for i, k in enumerate(keys) if k == key]]
-        projectors.append(cols @ cols.conj().T)
-    return projectors
 
 
 def refined_povm(tag: Tag, cover: CoverSelection, hub: str, rng_seed: int = 0) -> Povm:
@@ -367,18 +361,14 @@ def refined_povm(tag: Tag, cover: CoverSelection, hub: str, rng_seed: int = 0) -
         raise ValueError(f"hub {hub!r} has simple spectrum; a degenerate hub is required")
     cover_sets = [frozenset(m) for m in cover.masses]
     n_cover = len(cover_sets)
-    hub_hits = tuple(i for i, s in enumerate(cover_sets) if hub in s)
-    if len(hub_hits) < 2:
-        raise ValueError(f"hub {hub!r} lies in {len(hub_hits)} cover MASSes; at least 2 required")
+    hits_of = {y: tuple(i for i, s in enumerate(cover_sets) if y in s) for y in tag.labels}
+    if len(hits_of[hub]) < 2:
+        raise ValueError(f"hub {hub!r} lies in {len(hits_of[hub])} cover MASSes; at least 2 required")
 
     groups: dict[tuple[int, ...], set[str]] = {}
     for y in tag.labels:
-        if partitions[y] != hub_sig:
-            continue
-        hits = tuple(i for i, s in enumerate(cover_sets) if y in s)
-        if len(hits) < 2:
-            continue
-        groups.setdefault(hits, set()).add(y)
+        if partitions[y] == hub_sig and len(hits_of[y]) >= 2:
+            groups.setdefault(hits_of[y], set()).add(y)
     covered = sorted(i for hits in groups for i in hits)
     if covered != sorted(set(covered)) or set(covered) != set(range(n_cover)):
         raise UnsupportedConfigurationError(
@@ -388,31 +378,24 @@ def refined_povm(tag: Tag, cover: CoverSelection, hub: str, rng_seed: int = 0) -
 
     kept: list[np.ndarray] = []
     for hits in sorted(groups):
-        unit = groups[hits]
-        rep = min(unit, key=label_sort_key)
-        block_projectors = _eigenspace_projectors(tag.operators[rep])
+        rep = min(groups[hits], key=label_sort_key)
         masses = sorted(
             (cover.masses[i] for i in hits),
             key=lambda mass: tuple(label_sort_key(x) for x in mass),
         )
         for mass_index, mass in enumerate(masses):
+            # rep lies in the MASS, so its eigenbasis diagonalizes rep: one eigenvalue per column
             u = mass_eigenbasis(tag, mass, rng_seed=rng_seed)
-            by_block: list[list[np.ndarray]] = [[] for _ in block_projectors]
-            for c in range(d):
-                v = u[:, c]
-                overlaps = [np.linalg.norm(p @ v) for p in block_projectors]
-                k = int(np.argmax(overlaps))
-                if np.linalg.norm(block_projectors[k] @ v - v) > 1e-8:
-                    raise UnsupportedConfigurationError(
-                        f"eigenbasis of MASS {mass} does not respect the eigenspace blocks of {rep}"
-                    )
-                by_block[k].append(v)
+            keys = [round_unit_angle(z) for z in np.einsum("ij,ij->j", u.conj(), tag.operators[rep] @ u)]
+            if multiplicity_partition(keys) != hub_sig:
+                raise UnsupportedConfigurationError(
+                    f"eigenbasis of MASS {mass} does not respect the eigenspace blocks of {rep}"
+                )
+            blocks = [[u[:, c] for c in range(d) if keys[c] == key] for key in sorted(set(keys))]
             if mass_index == 0:
-                flat = [v for blk in by_block for v in blk]
-                kept.extend(flat[:-1])
-            else:
-                for blk in by_block:
-                    kept.extend(blk[:-1])
+                blocks = [[v for blk in blocks for v in blk]]  # the first MASS drops one vector in all
+            for blk in blocks:
+                kept.extend(blk[:-1])
     return _assemble_povm(tag, kept, n_cover)
 
 
@@ -421,14 +404,11 @@ def refined_povm(tag: Tag, cover: CoverSelection, hub: str, rng_seed: int = 0) -
 
 
 def _herm_to_real(a: np.ndarray) -> np.ndarray:
-    """Isometric embedding of Hermitian matrices into R^(d^2) (trace inner product)."""
-    d = a.shape[0]
-    parts = [a.diagonal().real]
-    iu = np.triu_indices(d, k=1)
-    off = a[iu]
-    parts.append(np.sqrt(2.0) * off.real)
-    parts.append(np.sqrt(2.0) * off.imag)
-    return np.concatenate(parts)
+    """Isometric embedding of Hermitian matrices into R^(d^2) (trace inner product), over the last two axes."""
+    iu = np.triu_indices(a.shape[-1], k=1)
+    off = a[..., iu[0], iu[1]]
+    diag = np.diagonal(a, axis1=-2, axis2=-1).real
+    return np.concatenate([diag, np.sqrt(2.0) * off.real, np.sqrt(2.0) * off.imag], axis=-1)
 
 
 def _real_to_herm(v: np.ndarray, d: int) -> np.ndarray:
@@ -453,12 +433,13 @@ def is_info_complete(povm: Povm) -> tuple[bool, int]:
 def reconstruct(rho, povm: Povm) -> tuple[np.ndarray, float]:
     """Noiseless linear-inversion reconstruction of a density matrix.
 
-    Computes exact outcome probabilities ``tr(rho A_j)`` and solves the
-    least-squares system over Hermitian matrices with the unit-trace row
-    appended.  Returns the estimate and its Frobenius error.
+    Computes the exact outcome probabilities ``tr(rho A_j)`` from the POVM's
+    ``real_rows`` and solves the least-squares system over Hermitian matrices
+    with the unit-trace row appended.  Returns the estimate and its Frobenius
+    error.  A state with non-finite entries is refused.
     """
     d = povm.d
-    state = np.asarray(rho, dtype=complex)
+    state = as_square_matrix(rho, "state")
     if state.shape != (d, d):
         raise ValueError(f"state shape {state.shape} does not match POVM dimension {d}")
     if abs(np.trace(state) - 1.0) > 1e-9:
@@ -470,8 +451,8 @@ def reconstruct(rho, povm: Povm) -> tuple[np.ndarray, float]:
     if not complete:
         raise ValueError(f"POVM is not informationally complete (rank {rank} < {d * d})")
     rows = np.vstack([povm.real_rows, _herm_to_real(np.eye(d))])
-    beta = [float(np.trace(state @ e).real) for e in povm.elements]
-    beta.append(1.0)
-    solution, *_ = np.linalg.lstsq(rows, np.array(beta), rcond=None)
+    # Re tr(rho A) = <emb(rho_H), emb(A_H)>, and real_rows holds emb(A_H) for every element A
+    beta = np.append(povm.real_rows @ _herm_to_real((state + state.conj().T) / 2.0), 1.0)
+    solution, *_ = np.linalg.lstsq(rows, beta, rcond=None)
     estimate = _real_to_herm(solution, d)
     return estimate, float(np.linalg.norm(state - estimate))

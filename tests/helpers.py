@@ -97,3 +97,74 @@ def predicate_adjacency(basis: fw.UnitaryBasis, x0: str | None = None) -> np.nda
                 adj[i, j] = fw.latin_twill(lam, mu, p[1], t0[1], q[1]) and fw.hadamard_twill(fam, lam, mu, p, t0, q)
             adj[j, i] = adj[i, j]
     return adj
+
+
+def projector_refined_povm(tag, cover, hub: str, rng_seed: int = 0) -> fw.Povm:
+    """Hub-refinement oracle: blocks from the projectors of a separate eigendecomposition of each representative.
+
+    Groups the cover as ``refined_povm`` does, then assigns every eigenbasis column to the
+    eigenspace projector of the representative that it overlaps most.  Must give the same
+    elements as ``refined_povm``, and the same refusals.
+    """
+    from fanweave import tomography as tomo
+    from fanweave.basis import label_sort_key
+    from fanweave.errors import UnsupportedConfigurationError
+    from fanweave.linalg import multiplicity_partition, round_unit_angle, unit_spectrum_angles
+
+    def eigenspace_projectors(op):
+        dec = fw.eig_normal(op)
+        keys = [round_unit_angle(z) for z in dec.eigenvalues]
+        projectors = []
+        for key in sorted(set(keys)):
+            cols = dec.eigenvectors[:, [i for i, k in enumerate(keys) if k == key]]
+            projectors.append(cols @ cols.conj().T)
+        return projectors
+
+    if set(cover.fan.universe) != set(tag.labels):
+        raise ValueError("cover does not belong to this tag")
+    if hub not in tag.operators:
+        raise ValueError(f"hub {hub!r} is not a member of the tag system")
+    d = tag.d
+    angles = unit_spectrum_angles(np.stack([tag.operators[y] for y in tag.labels]))
+    partitions = {y: multiplicity_partition(a) for y, a in zip(tag.labels, angles)}
+    hub_sig = partitions[hub]
+    if hub_sig[0] < 2:
+        raise ValueError(f"hub {hub!r} has simple spectrum; a degenerate hub is required")
+    cover_sets = [frozenset(m) for m in cover.masses]
+    n_cover = len(cover_sets)
+    hub_hits = tuple(i for i, s in enumerate(cover_sets) if hub in s)
+    if len(hub_hits) < 2:
+        raise ValueError(f"hub {hub!r} lies in {len(hub_hits)} cover MASSes; at least 2 required")
+    groups: dict[tuple[int, ...], set[str]] = {}
+    for y in tag.labels:
+        hits = tuple(i for i, s in enumerate(cover_sets) if y in s)
+        if partitions[y] == hub_sig and len(hits) >= 2:
+            groups.setdefault(hits, set()).add(y)
+    covered = sorted(i for hits in groups for i in hits)
+    if covered != sorted(set(covered)) or set(covered) != set(range(n_cover)):
+        raise UnsupportedConfigurationError(
+            "hub groups do not partition the cover; this fan does not match a supported "
+            f"hub template (grouped cover indices: {sorted(groups)})"
+        )
+    kept = []
+    for hits in sorted(groups):
+        rep = min(groups[hits], key=label_sort_key)
+        block_projectors = eigenspace_projectors(tag.operators[rep])
+        masses = sorted((cover.masses[i] for i in hits), key=lambda mass: tuple(label_sort_key(x) for x in mass))
+        for mass_index, mass in enumerate(masses):
+            u = tomo.mass_eigenbasis(tag, mass, rng_seed=rng_seed)
+            by_block = [[] for _ in block_projectors]
+            for c in range(d):
+                v = u[:, c]
+                k = int(np.argmax([np.linalg.norm(p @ v) for p in block_projectors]))
+                if np.linalg.norm(block_projectors[k] @ v - v) > 1e-8:
+                    raise UnsupportedConfigurationError(
+                        f"eigenbasis of MASS {mass} does not respect the eigenspace blocks of {rep}"
+                    )
+                by_block[k].append(v)
+            if mass_index == 0:
+                kept.extend([v for blk in by_block for v in blk][:-1])
+            else:
+                for blk in by_block:
+                    kept.extend(blk[:-1])
+    return tomo._assemble_povm(tag, kept, n_cover)

@@ -8,9 +8,10 @@ import pytest
 
 import fanweave as fw
 from fanweave import serialize as ser
-from fanweave.basis import _BLOCK_BYTES, label_sort_key, pair_label
+from fanweave.basis import label_sort_key, pair_label
 from fanweave.combinatorics import LATIN_VARIANTS
 from fanweave.errors import InvariantError
+from fanweave.linalg import _BLOCK_BYTES
 
 from helpers import brute_force_cliques, predicate_adjacency, transformed_basis
 
@@ -312,6 +313,23 @@ class TestEnumerateMass:
                 mode=graph.mode,
             )
             assert fw.enumerate_mass(shuffled).masses == fw.enumerate_mass(graph).masses
+
+    def test_equal_numeric_labels_order_independent(self):
+        # "3" and "03" are the same integer: the label itself breaks the tie
+        orders = [("3", "03"), ("03", "3")]
+        fans = [fw.enumerate_mass(fw.CommutationGraph(v, np.eye(2, dtype=bool), "numeric")) for v in orders]
+        assert fans[0].masses == fans[1].masses == (("03",), ("3",))
+
+
+class TestLabelSortKey:
+    def test_non_integer_digit_parts_sort_as_text(self):
+        # "1²" and "+-3" pass str.isdigit after stripping signs but are not integers
+        labels = ["a", "1²,0", "+-3", "2,0", "-1,0", "1,0"]
+        assert sorted(labels, key=label_sort_key) == ["-1,0", "1,0", "2,0", "+-3", "1²,0", "a"]
+
+    def test_enumerate_mass_accepts_any_label(self):
+        graph = fw.CommutationGraph(("1²", "+-3", "1"), np.ones((3, 3), dtype=bool), "numeric")
+        assert fw.enumerate_mass(graph).masses == (("1", "+-3", "1²"),)
 
 
 class TestFanRepresentation:

@@ -1,5 +1,7 @@
 import copy
 import json
+import pathlib
+import shlex
 
 import numpy as np
 import pytest
@@ -244,6 +246,23 @@ class TestMubPovmPpt:
         assert len(obj["masses"]) == 4
         aug = ser.rect_from_json(obj["masses"][0]["augmented"])
         assert fw.is_partial_hadamard(aug)
+
+
+def readme_cli_commands():
+    """The command lines of the ``sh`` block under ``## CLI`` in README.md, without comments."""
+    readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text()
+    block = readme.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return [shlex.split(line, comments=True) for line in block.splitlines() if line.strip()]
+
+
+def test_readme_commands(runner, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    commands = readme_cli_commands()
+    assert len(commands) >= 9 and all(args[0] == "fanweave" for args in commands)
+    for args in commands:
+        result = runner.invoke(main, args[1:])
+        verb = next(a for a in args[1:] if a in main.commands)
+        assert result.exit_code == {"compare": 3, "mub": 2}.get(verb, 0), (args, result.output)
 
 
 class TestGlobalFlags:

@@ -97,6 +97,36 @@ class TestEigNormal:
             fw.eig_normal(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
+class TestCommutatorNorms:
+    @staticmethod
+    def per_pair(mats):
+        n = len(mats)
+        return np.array([[np.linalg.norm(mats[a] @ mats[b] - mats[b] @ mats[a]) if a < b else 0.0
+                          for b in range(n)] for a in range(n)])
+
+    def test_family_of_one(self):
+        assert np.array_equal(fw.linalg.commutator_norms(np.eye(3, dtype=complex)[None]), np.zeros((1, 1)))
+
+    def test_stack_split_into_blocks(self, monkeypatch):
+        rng = np.random.default_rng(17)
+        mats = np.stack([fw.random_unitary(3, rng) for _ in range(7)] + [np.eye(3, dtype=complex)])
+        expected = self.per_pair(mats)
+        whole = fw.linalg.commutator_norms(mats)
+        monkeypatch.setattr(fw.linalg, "_BLOCK_BYTES", 2 * 32 * 8 * 3 * 3)  # blocks of two rows
+        blocked = fw.linalg.commutator_norms(mats)
+        for resid in (whole, blocked):
+            assert np.abs(resid - expected).max() <= 1e-12
+            assert not np.tril(resid).any()
+        assert expected[0, 1] > 1.0 and np.allclose(expected[:, 7], 0.0, atol=1e-12)
+
+    def test_simul_diag_names_first_failing_pair(self):
+        z, x, i2 = np.diag([1.0, -1.0]), np.array([[0.0, 1.0], [1.0, 0.0]]), np.eye(2)
+        # (0, 3) and (1, 2) fail; (0, 3) comes first in (i, j) order
+        family = [np.kron(z, i2), np.kron(i2, x), np.kron(i2, z), np.kron(x, i2)]
+        with pytest.raises(InvariantError, match="family members 0 and 3 do not commute"):
+            fw.simul_diag(family)
+
+
 class TestSimulDiag:
     def test_identity_and_diagonal(self):
         u, diags = fw.simul_diag([np.eye(2), np.diag([1.0, -1.0])])

@@ -9,7 +9,7 @@ from fanweave.basis import pair_label
 from fanweave.combinatorics import LATIN_VARIANTS
 from fanweave.errors import InvariantError, UnsupportedConfigurationError
 
-from helpers import brute_force_cover, random_density, random_pure_density
+from helpers import brute_force_cover, projector_refined_povm, random_density, random_pure_density
 
 
 def tag_and_fan(basis, x0):
@@ -315,6 +315,77 @@ class TestRefinedPovm:
         assert len(povm) < (8 - 1) * len(fw.minimal_cover(fan).selected) + 1
 
 
+def refined_outcome(build, tag, cover, hub):
+    """Elements of the refined POVM, or the type and message of its refusal."""
+    try:
+        return build(tag, cover, hub).elements
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+class TestRefinedMatchesProjectorOracle:
+    @pytest.mark.parametrize("d, hubs", [(4, None), (6, None), (8, None), (12, ("6,6", "4,4", "3,3"))])
+    def test_same_elements_and_refusals(self, weyl, d, hubs, monkeypatch):
+        tag, fan = tag_and_fan(weyl(d), "0,0")
+        cover = fw.minimal_cover(fan)
+        # both constructions, for every hub, diagonalize the same cover MASSes: do it once each
+        eigenbases = {}
+
+        def cached_eigenbasis(tag, mass, rng_seed=0):
+            if tuple(mass) not in eigenbases:
+                eigenbases[tuple(mass)] = fw.mass_eigenbasis(tag, mass, rng_seed=rng_seed)
+            return eigenbases[tuple(mass)]
+
+        monkeypatch.setattr(tomo, "mass_eigenbasis", cached_eigenbasis)
+        built = 0
+        for hub in hubs or tag.labels:
+            ours = refined_outcome(fw.refined_povm, tag, cover, hub)
+            oracle = refined_outcome(projector_refined_povm, tag, cover, hub)
+            if isinstance(oracle[0], type):
+                assert ours == oracle, hub
+            else:
+                built += 1
+                assert len(ours) == len(oracle) and all(np.array_equal(a, b) for a, b in zip(ours, oracle)), hub
+        assert built > 0
+
+
+class TestMakePovmRefusals:
+    # N is anti-Hermitian, so an element carrying it is not Hermitian while the sum stays I
+    N = np.array([[0.0, 0.3], [-0.3, 0.0]])
+
+    def test_sum_not_identity(self):
+        with pytest.raises(InvariantError, match="sum to identity only within 3.536e-01"):
+            fw.make_povm(2, [np.eye(2) / 2, np.eye(2) / 4])
+
+    def test_empty_element_list(self):
+        with pytest.raises(InvariantError, match="sum to identity only within 1.414e[+]00"):
+            fw.make_povm(2, [])
+
+    def test_not_hermitian(self):
+        with pytest.raises(InvariantError, match="POVM element 1 is not Hermitian"):
+            fw.make_povm(2, [np.eye(2) / 2, np.eye(2) / 2 + self.N, -self.N])
+
+    def test_negative_eigenvalue(self):
+        with pytest.raises(InvariantError, match="POVM element 1 has negative eigenvalue -1.000e-01"):
+            fw.make_povm(2, [np.diag([1.1, 0.5]), np.diag([-0.1, 0.5])])
+
+    def test_first_failing_element_is_named(self):
+        psd_fail, herm_fail = np.diag([-0.1, 0.5]), np.diag([1.1, 0.5]) + self.N
+        with pytest.raises(InvariantError, match="POVM element 0 has negative eigenvalue -1.000e-01"):
+            fw.make_povm(2, [psd_fail, herm_fail, -self.N])
+        with pytest.raises(InvariantError, match="POVM element 0 is not Hermitian"):
+            fw.make_povm(2, [herm_fail, psd_fail, -self.N])
+
+    def test_hermitian_test_comes_first_within_an_element(self):
+        both = np.diag([-0.1, 0.5]) + self.N
+        with pytest.raises(InvariantError, match="POVM element 0 is not Hermitian"):
+            fw.make_povm(2, [both, np.diag([1.1, 0.5]) - self.N])
+
+    def test_non_finite_element(self):
+        with pytest.raises(ValueError, match="POVM element 1 contains non-finite entries"):
+            fw.make_povm(2, [np.diag([1.0, 0.0]), np.diag([0.0, np.nan])])
+
+
 class TestInfoComplete:
     def test_single_basis_rank_d(self, weyl):
         d = 3
@@ -356,6 +427,14 @@ class TestReconstruct:
             rho = random_pure_density(4, rng)
             est, err = fw.reconstruct(rho, povm)
             assert err <= 1e-8
+
+    def test_non_finite_state_rejected(self, weyl):
+        tag, fan = tag_and_fan(weyl(3), "0,0")
+        povm = fw.crude_povm(tag, fw.minimal_cover(fan))
+        rho = np.eye(3, dtype=complex) / 3
+        rho[0, 1] = np.nan
+        with pytest.raises(ValueError, match="state contains non-finite entries"):
+            fw.reconstruct(rho, povm)
 
     def test_incomplete_povm_rejected(self):
         povm = fw.make_povm(2, [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])])
