@@ -29,11 +29,13 @@ from .combinatorics import (
 from .config import tols
 from .errors import InvariantError
 from .linalg import (
+    MonomialForm,
     as_square_matrix,
     bipartite_dim,
     commutator_norms,
     eigen_sort_key,
     gram_deviation,
+    monomial_form,
     multiplicity_partition,
     round_unit_angle,
     simul_diag,
@@ -93,11 +95,11 @@ class UnitaryBasis:
     labels: tuple[str, ...]
     operators: dict[str, np.ndarray]
     provenance: Provenance
+    form: MonomialForm | None = None  # rows in label order; None when some operator is not monomial
 
 
-def _check_hs_family(labels, operators, d, what):
-    v = np.stack([operators[x] for x in labels]).reshape(len(labels), d * d)
-    dev = gram_deviation(v, float(d))
+def _check_hs_family(labels, stack, d, what):
+    dev = gram_deviation(stack.reshape(len(labels), d * d), float(d))
     worst = np.unravel_index(np.argmax(dev), dev.shape)
     if dev[worst] > tols().orthogonality:
         a, b = labels[worst[0]], labels[worst[1]]
@@ -125,8 +127,9 @@ def unitary_basis(labels, operators: dict[str, np.ndarray], provenance: Provenan
         resid = np.linalg.norm(ops[x].conj().T @ ops[x] - eye)
         if resid > tols().unitarity:
             raise InvariantError(f"operator {x} is not unitary: ||U*U - I||_F = {resid:.3e}")
-    _check_hs_family(labels, ops, d, "unitary basis")
-    return UnitaryBasis(d=d, labels=labels, operators=ops, provenance=provenance)
+    stack = np.stack([ops[x] for x in labels])
+    _check_hs_family(labels, stack, d, "unitary basis")
+    return UnitaryBasis(d=d, labels=labels, operators=ops, provenance=provenance, form=monomial_form(stack))
 
 
 def build_shift_multiply(
@@ -192,21 +195,33 @@ class Tag:
     operators: dict[str, np.ndarray]
     d: int
     basis: UnitaryBasis
+    form: MonomialForm | None = None  # rows in label order, composed from the basis's form
+
+
+def tag_members(tag: Tag, labels) -> MonomialForm | np.ndarray:
+    """The tag members at ``labels``: rows of the tag's monomial form, or else a dense stack."""
+    if tag.form is None:
+        return np.stack([tag.operators[y] for y in labels])
+    index = {y: i for i, y in enumerate(tag.labels)}
+    rows = [index[y] for y in labels]
+    return MonomialForm(tag.form.perm[rows], tag.form.phase[rows])
 
 
 def tag_at(basis: UnitaryBasis, x0: str) -> Tag:
     """Tag of a basis at x0; verifies the residual system is traceless and orthogonal."""
     if x0 not in basis.operators:
         raise ValueError(f"tag label {x0!r} is not in the basis")
-    u0 = basis.operators[x0]
-    rest = tuple(x for x in basis.labels if x != x0)
-    w = {x: u0.conj().T @ basis.operators[x] for x in rest}
-    for x in rest:
-        t = abs(np.trace(w[x]))
-        if t > tols().trace:
-            raise InvariantError(f"tag at {x0}: member {x} is not traceless, |tr| = {t:.3e}")
-    _check_hs_family(rest, w, basis.d, f"tag at {x0}")
-    return Tag(x0=x0, labels=rest, operators=w, d=basis.d, basis=basis)
+    i0 = basis.labels.index(x0)
+    rest = basis.labels[:i0] + basis.labels[i0 + 1 :]
+    stack = np.matmul(basis.operators[x0].conj().T, np.stack([basis.operators[x] for x in rest]))
+    traces = np.abs(np.trace(stack, axis1=1, axis2=2))
+    failing = np.flatnonzero(traces > tols().trace)
+    if len(failing):
+        i = failing[0]
+        raise InvariantError(f"tag at {x0}: member {rest[i]} is not traceless, |tr| = {traces[i]:.3e}")
+    _check_hs_family(rest, stack, basis.d, f"tag at {x0}")
+    form = None if basis.form is None else basis.form.tag(i0)
+    return Tag(x0=x0, labels=rest, operators=dict(zip(rest, stack)), d=basis.d, basis=basis, form=form)
 
 
 def twill_check(basis: UnitaryBasis, x: str, x0: str, y: str) -> bool:
@@ -229,20 +244,21 @@ class CommutationGraph:
     mode: str
 
 
-def _numeric_adjacency(labels, operators) -> np.ndarray:
+def _numeric_adjacency(members) -> np.ndarray:
     """Adjacency from ``||A_a A_b - A_b A_a||_F``: the upper triangle of :func:`commutator_norms`, mirrored."""
-    adj = np.triu(commutator_norms(np.stack([operators[x] for x in labels])) <= tols().commutation, 1)
+    adj = np.triu(commutator_norms(members) <= tols().commutation, 1)
     adj |= adj.T
     np.fill_diagonal(adj, True)
     return adj
 
 
-def _monomial_adjacency(basis: UnitaryBasis, labels, operators, mode: str, x0: str | None) -> np.ndarray:
+def _exact_adjacency(basis: UnitaryBasis, mode: str, x0: str | None) -> np.ndarray:
     """Exact adjacency of shift-and-multiply members read as monomials ``|k> -> w^e[k] |p[k]>``.
 
     ``U_{m,n}`` has ``p = lam(n, .)``, ``e`` row m of the exponents of ``H^n`` and ``w = exp(2 pi i / N)``;
     a tag composes in ``U_x0^-1``.  ``(s, a)`` and ``(t, b)`` commute iff ``s t = t s`` and
-    ``b + a[t] = a + b[s] (mod N)``.  Provenance whose monomials are not ``operators`` is refused.
+    ``b + a[t] = a + b[s] (mod N)``.  Provenance whose monomials are not the basis's monomial form
+    within ``commutation`` (Frobenius distance per operator) is refused.
     """
     lam, fam = basis.provenance.latin, basis.provenance.hadamard
     if lam is None or fam is None:
@@ -255,23 +271,22 @@ def _monomial_adjacency(basis: UnitaryBasis, labels, operators, mode: str, x0: s
     pairs = {x: parse_pair(x) for x in basis.labels}
     if lam.size != d or fam.d != d or not all(0 <= i < d for pair in pairs.values() for i in pair):
         raise ValueError(f"mode {mode!r}: provenance of size {lam.size} does not index the labels of C^{d}")
-    m, n = np.array([pairs[x] for x in labels]).T
-    perms = lam.table[n]
-    exps = fam.exponents[n, m]
-    if x0 is not None:
-        m0, n0 = pairs[x0]
-        perms = np.argsort(lam.table[n0])[perms]
-        exps = exps - fam.exponents[n0, m0][perms]
-    exps %= order
-    dense = np.zeros((len(labels), d, d), dtype=complex)
-    dense[np.arange(len(labels))[:, None], perms, np.arange(d)] = np.exp(2j * np.pi * exps / order)
-    resid = np.linalg.norm(dense - np.stack([operators[x] for x in labels]), axis=(1, 2))
+    if basis.form is None:
+        raise ValueError(f"mode {mode!r}: provenance does not match operators that are not all monomial")
+    m, n = np.array([pairs[x] for x in basis.labels]).T
+    exps = fam.exponents[n, m] % order
+    form = MonomialForm(lam.table[n], np.exp(2j * np.pi * exps / order), exps, order)
+    diff = np.abs(form.phase - basis.form.phase) ** 2
+    resid = np.sqrt(np.where(form.perm == basis.form.perm, diff, 2.0).sum(axis=1))
     worst = int(np.argmax(resid))
     if resid[worst] > tols().commutation:
         raise ValueError(
-            f"mode {mode!r}: provenance does not match operator {labels[worst]} "
+            f"mode {mode!r}: provenance does not match operator {basis.labels[worst]} "
             f"(Frobenius distance {resid[worst]:.3e})"
         )
+    if x0 is not None:
+        form = form.tag(basis.labels.index(x0))
+    perms, exps = form.perm, form.exponent
     composed = perms[:, perms]  # composed[i, j] = perms[i] o perms[j]
     phases = exps[None, :, :] + exps[:, perms]  # phases[i, j] = exps[j] + exps[i] o perms[j]
     same_perm = (composed == composed.transpose(1, 0, 2)).all(axis=2)
@@ -279,11 +294,11 @@ def _monomial_adjacency(basis: UnitaryBasis, labels, operators, mode: str, x0: s
     return same_perm & same_phase
 
 
-def _commutation_graph(basis, labels, operators, mode: str, exact_mode: str, x0=None) -> CommutationGraph:
+def _commutation_graph(basis, labels, members, mode: str, exact_mode: str, x0=None) -> CommutationGraph:
     if mode == "numeric":
-        adj = _numeric_adjacency(labels, operators)
+        adj = _numeric_adjacency(members)
     elif mode == exact_mode:
-        adj = _monomial_adjacency(basis, labels, operators, mode, x0)
+        adj = _exact_adjacency(basis, mode, x0)
     else:
         scope = "an untagged basis" if x0 is None else "a tag"
         raise ValueError(f"unsupported mode {mode!r} for {scope} graph")
@@ -292,12 +307,13 @@ def _commutation_graph(basis, labels, operators, mode: str, exact_mode: str, x0=
 
 def basis_commutation_graph(basis: UnitaryBasis, mode: str = "numeric") -> CommutationGraph:
     """Commutation graph on all basis labels (no tag)."""
-    return _commutation_graph(basis, basis.labels, basis.operators, mode, "exact-crisscross")
+    members = basis.form if basis.form is not None else np.stack([basis.operators[x] for x in basis.labels])
+    return _commutation_graph(basis, basis.labels, members, mode, "exact-crisscross")
 
 
 def commutation_graph(tag: Tag, mode: str = "numeric") -> CommutationGraph:
     """Commutation graph of the residual system of a tag."""
-    return _commutation_graph(tag.basis, tag.labels, tag.operators, mode, "exact-twill", tag.x0)
+    return _commutation_graph(tag.basis, tag.labels, tag_members(tag, tag.labels), mode, "exact-twill", tag.x0)
 
 
 # ---------------------------------------------------------------------------
@@ -484,8 +500,9 @@ def fan_invariant(tag: Tag, fan: Fan, variant: str = "cue") -> FanInvariant:
     inters = tuple(
         sorted(len(a & b) for a, b in itertools.combinations(sets, 2))
     )
-    angles = unit_spectrum_angles(np.stack([tag.operators[y] for y in fan.universe]))
-    spectrum = {y: _member_spectrum(a, variant) for y, a in zip(fan.universe, angles)}
+    angles = unit_spectrum_angles(tag_members(tag, fan.universe), fan.universe)
+    distinct = {a: _member_spectrum(a, variant) for a in set(angles)}  # many members share a spectrum
+    spectrum = {y: distinct[a] for y, a in zip(fan.universe, angles)}
     spectra = tuple(sorted(tuple(sorted(spectrum[y] for y in mass)) for mass in fan.masses))
     return FanInvariant(
         variant=variant,

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import Fan, Tag, label_sort_key
+from .basis import Fan, Tag, label_sort_key, tag_members
 from .config import tols
 from .errors import InvariantError, UnsupportedConfigurationError
 from .linalg import (
@@ -354,19 +354,21 @@ def refined_povm(tag: Tag, cover: CoverSelection, hub: str, rng_seed: int = 0) -
     if hub not in tag.operators:
         raise ValueError(f"hub {hub!r} is not a member of the tag system")
     d = tag.d
-    angles = unit_spectrum_angles(np.stack([tag.operators[y] for y in tag.labels]))
-    partitions = {y: multiplicity_partition(a) for y, a in zip(tag.labels, angles)}
-    hub_sig = partitions[hub]
-    if hub_sig[0] < 2:
-        raise ValueError(f"hub {hub!r} has simple spectrum; a degenerate hub is required")
     cover_sets = [frozenset(m) for m in cover.masses]
     n_cover = len(cover_sets)
     hits_of = {y: tuple(i for i, s in enumerate(cover_sets) if y in s) for y in tag.labels}
+    # only the hub and the members in two or more cover MASSes can decide a group
+    spectral = [hub, *(y for y in tag.labels if y != hub and len(hits_of[y]) >= 2)]
+    angles = unit_spectrum_angles(tag_members(tag, spectral), spectral)
+    partitions = dict(zip(spectral, map(multiplicity_partition, angles)))
+    hub_sig = partitions[hub]
+    if hub_sig[0] < 2:
+        raise ValueError(f"hub {hub!r} has simple spectrum; a degenerate hub is required")
     if len(hits_of[hub]) < 2:
         raise ValueError(f"hub {hub!r} lies in {len(hits_of[hub])} cover MASSes; at least 2 required")
 
     groups: dict[tuple[int, ...], set[str]] = {}
-    for y in tag.labels:
+    for y in spectral:
         if partitions[y] == hub_sig and len(hits_of[y]) >= 2:
             groups.setdefault(hits_of[y], set()).add(y)
     covered = sorted(i for hits in groups for i in hits)

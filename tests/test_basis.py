@@ -274,6 +274,82 @@ class TestCommutationGraph:
                 fw.basis_commutation_graph(misfit, mode="exact-crisscross")
 
 
+@pytest.fixture(scope="module")
+def form_fixtures(monomial_bases, pauli2):
+    """Weyl 3..8, the six S3 variants, z2 x z2 and pauli2: the bases the monomial path is checked on."""
+    names = [f"weyl{d}" for d in range(3, 9)] + [f"s3-{v}" for v in LATIN_VARIANTS] + ["z2xz2"]
+    return {**{name: monomial_bases[name] for name in names}, "pauli2": pauli2}
+
+
+class TestMonomialForm:
+    def test_detected_exactly_on_monomial_bases(self, form_fixtures):
+        rng = np.random.default_rng(4)
+        for name, basis in form_fixtures.items():
+            form = basis.form
+            stack = np.stack([basis.operators[x] for x in basis.labels])
+            rebuilt = np.zeros_like(stack)
+            rebuilt[np.arange(len(stack))[:, None], form.perm, np.arange(basis.d)] = form.phase
+            assert np.array_equal(rebuilt, stack), name
+            assert transformed_basis(basis, rng).form is None, name
+
+    def test_detection_ignores_tolerance_overrides(self, weyl):
+        # V U V* for V = exp(i 1e-3 H) keeps every column's largest entry where U has it
+        rng = np.random.default_rng(8)
+        g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        w, q = np.linalg.eigh(g + g.conj().T)
+        v = (q * np.exp(1e-3j * w)) @ q.conj().T
+        basis = weyl(4)
+        ops = {x: v @ basis.operators[x] @ v.conj().T for x in basis.labels}
+        with fw.tolerances(commutation=10):
+            near = fw.unitary_basis(basis.labels, ops, fw.Provenance(kind="conjugated"))
+            assert near.form is None
+            # the cycles of the perturbed largest entries would give other spectra
+            assert fw.compare_ub(basis, near) == fw.NOT_DISTINGUISHED
+
+    def test_tag_form_is_the_tag(self, form_fixtures):
+        for name, basis in form_fixtures.items():
+            for x0 in basis.labels[:: max(1, basis.d - 1)]:
+                tag = fw.tag_at(basis, x0)
+                stack = np.stack([tag.operators[y] for y in tag.labels])
+                rebuilt = np.zeros_like(stack)
+                rebuilt[np.arange(len(stack))[:, None], tag.form.perm, np.arange(basis.d)] = tag.form.phase
+                assert np.abs(rebuilt - stack).max() <= 1e-15, (name, x0)
+
+    def test_cycle_spectra_equal_eigvals_spectra_on_every_tag(self, form_fixtures):
+        # with one phase product per cycle; products started at each element disagree on weyl8
+        for name, basis in form_fixtures.items():
+            for x0 in basis.labels:
+                tag = fw.tag_at(basis, x0)
+                dense = np.stack([tag.operators[y] for y in tag.labels])
+                assert fw.linalg.unit_spectrum_angles(tag.form) == fw.linalg.unit_spectrum_angles(dense), (name, x0)
+
+    def test_monomial_residuals_match_dense_kernel(self, form_fixtures):
+        assert 2**14 // (63 * 8) < 63  # the monomial kernel splits a weyl8 tag into row blocks
+        for name, basis in form_fixtures.items():
+            for x0 in basis.labels[:: basis.d]:
+                tag = fw.tag_at(basis, x0)
+                dense = fw.linalg.commutator_norms(np.stack([tag.operators[y] for y in tag.labels]))
+                assert np.abs(fw.linalg.commutator_norms(tag.form) - dense).max() <= 1e-12, (name, x0)
+
+    def test_numeric_mode_uses_the_form_only(self, form_fixtures, monkeypatch):
+        kernel = fw.basis.commutator_norms
+
+        def monomial_only(members):
+            assert isinstance(members, fw.linalg.MonomialForm)
+            return kernel(members)
+
+        def no_eigvals(*args, **kwargs):
+            raise AssertionError("eigvals called on a monomial basis")
+
+        monkeypatch.setattr(fw.basis, "commutator_norms", monomial_only)
+        monkeypatch.setattr(np.linalg, "eigvals", no_eigvals)
+        for name in ("weyl4", "s3-e", "pauli2"):
+            basis = form_fixtures[name]
+            fw.basis_commutation_graph(basis)
+            fw.invariant_profile(basis)
+            fw.invariant_profile(basis, variant="pcue")
+
+
 class TestEnumerateMass:
     def test_matches_brute_force_oracle(self, weyl, z3f_basis):
         for basis, x0 in ((weyl(3), "0,0"), (weyl(4), "0,0"), (z3f_basis, "1,2")):
@@ -538,6 +614,20 @@ class TestCompare:
         rng = np.random.default_rng(31)
         basis = weyl(3)
         assert fw.compare_ub(basis, transformed_basis(basis, rng)) == fw.NOT_DISTINGUISHED
+
+    def test_transformed_fixtures_not_distinguished(self, form_fixtures):
+        # The original takes its monomial form, the dense copy eigvals and the dense kernel.  The
+        # copy's profiles are compare_ub's, built from one fan per tag for both variants.
+        for name, basis in form_fixtures.items():
+            profiles = {variant: fw.invariant_profile(basis, variant) for variant in fw.basis.INVARIANT_VARIANTS}
+            for seed in (0, 1):
+                other = transformed_basis(basis, np.random.default_rng([seed, basis.d]))
+                tags = [fw.tag_at(other, x0) for x0 in other.labels]
+                fans = [fw.enumerate_mass(fw.commutation_graph(tag)) for tag in tags]
+                for variant, profile in profiles.items():
+                    dense = tuple(sorted(fw.fan_invariant(t, f, variant) for t, f in zip(tags, fans)))
+                    assert dense == profile, (name, seed, variant)
+        assert fw.compare_ub(basis, other, "pcue") == fw.NOT_DISTINGUISHED
 
     def test_dimension_mismatch(self, weyl):
         with pytest.raises(ValueError, match="dimension"):

@@ -303,6 +303,18 @@ class TestGlobalFlags:
         assert "mass_count: 1\n" in result.output
         assert "mass_count: 7\n" in invoke(runner, ["fans", str(path), "--tag", "0,0"]).output
 
+    def test_loose_commutation_tolerance_keeps_dense_bases_dense(self, runner, tmp_path, weyl):
+        # monomial detection uses the default tolerance, so --tol cannot route a dense basis to the form
+        conj = transformed_basis(weyl(4), np.random.default_rng(5))
+        with fw.tolerances(commutation=10):
+            assert ser.basis_from_json(ser.basis_to_json(conj)).form is None
+        path = tmp_path / "conj-weyl4.json"
+        write_basis(path, conj)
+        result = invoke(runner, ["--tol", "commutation=10", "fans", str(path), "--tag", "t0"])
+        assert result.output == (
+            "seed: 0\nscope: tag t0\nmass_count: 1\nsize_multiset: [15]\noverlap_degrees: {}\n"
+        )
+
     def test_psd_tolerance_reaches_ppt(self, runner):
         # a shift 5e-13 below the minimal one leaves lambda_min at about -5e-13
         shift = fw.build_ppt(2, rng_seed=0).shift_a - 5e-13

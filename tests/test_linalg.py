@@ -20,6 +20,30 @@ class TestUnitSpectrumAngles:
         for m, angles in zip(stack, per_matrix):  # reference: round_unit_angle of each eigenvalue
             assert angles == tuple(sorted(fw.linalg.round_unit_angle(z) for z in np.linalg.eigvals(m)))
 
+    @pytest.mark.parametrize("offset", [1e-14, -1e-14])
+    def test_angle_near_rounding_boundary_refused(self, offset):
+        boundary = 0.123456785  # halfway between two 8-decimal values
+        theta = boundary + offset
+        dense = np.diag(np.exp(1j * np.array([theta, -theta])))
+        form = fw.linalg.MonomialForm(np.array([[0, 1]]), np.exp(1j * np.array([[theta, -theta]])))
+        for members in (dense[None], form):
+            with pytest.raises(InvariantError, match=r"member w: eigenvalue angle .* lies 1\.\de-14 rad"):
+                fw.linalg.unit_spectrum_angles(members, ["w"])
+        # outside the margin both paths round alike
+        safe = np.exp(1j * np.array([boundary + 100 * offset, 1.0]))
+        form = fw.linalg.MonomialForm(np.array([[0, 1]]), safe[None])
+        assert fw.linalg.unit_spectrum_angles(form) == fw.linalg.unit_spectrum_angles(np.diag(safe)[None])
+
+    def test_cycle_spectrum_of_a_long_cycle(self):
+        # a 4-cycle with phase product -1 (arg on the branch cut): eigenvalues are the 4th roots of -1
+        perm = np.array([[2, 0, 3, 1]])
+        phase = np.array([[1j, 1j, 1.0, 1.0]])
+        dense = np.zeros((1, 4, 4), dtype=complex)
+        dense[0, perm[0], np.arange(4)] = phase[0]
+        form = fw.linalg.MonomialForm(perm, phase)
+        expected = [tuple(round(np.pi * (2 * j + 1) / 4, 8) for j in range(4))]
+        assert fw.linalg.unit_spectrum_angles(form) == fw.linalg.unit_spectrum_angles(dense) == expected
+
     def test_rejects_non_square_stack(self):
         with pytest.raises(ValueError, match="shape"):
             fw.linalg.unit_spectrum_angles(np.ones((2, 2, 3)))
