@@ -128,8 +128,10 @@ def unit_spectrum_angles(a, labels=None):
             f"spectrum of member {i if labels is None else labels[i]}: eigenvalue angle {theta[i, k]!r} "
             f"lies {margin[i, k]:.1e} rad from a rounding boundary at {ANGLE_DECIMALS} decimals"
         )
-    # round_unit_angle of every eigenvalue, with the principal angles taken as one array
-    angles = [tuple(sorted(map(_round_angle, row))) for row in theta.tolist()]
+    # _round_angle of every angle: away from a boundary numpy's rounding gives the same doubles as round()
+    rounded = np.round(theta, ANGLE_DECIMALS)
+    rounded[rounded >= _TWO_PI_ROUNDED] = 0.0
+    angles = [tuple(row) for row in np.sort(rounded, axis=1).tolist()]
     return angles if stacked else angles[0]
 
 

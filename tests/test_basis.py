@@ -610,12 +610,10 @@ class TestCompare:
     def test_s3_vs_weyl6(self, weyl, s3_basis):
         assert fw.compare_ub(s3_basis, weyl(6)) == fw.INEQUIVALENT
 
-    def test_transformed_basis_not_distinguished(self, weyl):
+    def test_transformed_basis_not_distinguished(self, weyl, form_fixtures):
         rng = np.random.default_rng(31)
         basis = weyl(3)
         assert fw.compare_ub(basis, transformed_basis(basis, rng)) == fw.NOT_DISTINGUISHED
-
-    def test_transformed_fixtures_not_distinguished(self, form_fixtures):
         # The original takes its monomial form, the dense copy eigvals and the dense kernel.  The
         # copy's profiles are compare_ub's, built from one fan per tag for both variants.
         for name, basis in form_fixtures.items():
