@@ -304,7 +304,7 @@ class TestGlobalFlags:
         assert "mass_count: 7\n" in invoke(runner, ["fans", str(path), "--tag", "0,0"]).output
 
     def test_loose_commutation_tolerance_keeps_dense_bases_dense(self, runner, tmp_path, weyl):
-        # monomial detection uses the default tolerance, so --tol cannot route a dense basis to the form
+        # a loose --tol leaves a conjugated basis on the dense path; at 10 every pair commutes
         conj = transformed_basis(weyl(4), np.random.default_rng(5))
         with fw.tolerances(commutation=10):
             assert ser.basis_from_json(ser.basis_to_json(conj)).form is None
