@@ -12,6 +12,7 @@ these invariants over all tags certifies inequivalence of two bases.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from collections import Counter
 from dataclasses import dataclass, field
@@ -65,6 +66,7 @@ def parse_pair(label: str) -> tuple[int, int]:
         raise ValueError(f"label {label!r} is not an integer pair 'm,n'") from None
 
 
+@functools.lru_cache(maxsize=4096)  # every tag of a basis sorts the same labels again
 def label_sort_key(label: str):
     """Comma parts compared as integers where they match ``[+-]?\\d+``, then the label itself to break ties."""
     key = []
@@ -331,38 +333,51 @@ class Fan:
 def enumerate_mass(graph: CommutationGraph) -> Fan:
     """Enumerate every maximal clique of the commutation graph.
 
-    Recursive extension with candidate and excluded sets; the pivot is the
-    vertex with the most candidates among its neighbours, and only
-    non-neighbours of the pivot are branched on.  Output is canonically
-    sorted, so it is independent of vertex order.
+    Depth-first extension with candidate and excluded sets as int bitmasks, bit
+    k for the k-th vertex in label order; the pivot is the vertex with the most
+    candidates among its neighbours, and only non-neighbours of the pivot are
+    branched on.  Output is canonically sorted, independent of vertex order.
     """
-    n = len(graph.vertices)
-    adj = graph.adjacency
+    labels, adj = graph.vertices, graph.adjacency
+    n = len(labels)
+    if adj.shape != (n, n):
+        raise InvariantError(f"adjacency has shape {adj.shape}, expected ({n}, {n}) for {n} vertices")
     if not np.array_equal(adj, adj.T) or not adj.diagonal().all():
         raise InvariantError("adjacency must be symmetric with a True diagonal")
-    nbrs = [frozenset(np.nonzero(adj[i])[0].tolist()) - {i} for i in range(n)]
-    cliques: list[frozenset[int]] = []
-
-    def extend(r: frozenset, p: frozenset, x: frozenset) -> None:
-        if not p and not x:
-            cliques.append(r)
-            return
-        pivot = max(p | x, key=lambda u: len(p & nbrs[u]))
-        for v in sorted(p - nbrs[pivot]):
-            extend(r | {v}, p & nbrs[v], x & nbrs[v])
-            p = p - {v}
-            x = x | {v}
-
-    extend(frozenset(), frozenset(range(n)), frozenset())
-    masses = sorted(
-        (tuple(sorted((graph.vertices[i] for i in c), key=label_sort_key)) for c in cliques),
-        key=lambda mass: tuple(label_sort_key(x) for x in mass),
-    )
-    fan = Fan(universe=graph.vertices, masses=tuple(masses))
-    covered = set(itertools.chain.from_iterable(fan.masses))
-    if covered != set(fan.universe):
+    if len(set(labels)) != n:
+        repeated = [x for x, count in Counter(labels).items() if count > 1]
+        raise InvariantError(f"vertex labels must be distinct; repeated: {repeated}")
+    order = sorted(range(n), key=lambda i: label_sort_key(labels[i]))
+    ranked = adj.take(order, 0).take(order, 1).astype(bool) & ~np.eye(n, dtype=bool)
+    nbrs = [int.from_bytes(row.tobytes(), "little") for row in np.packbits(ranked, axis=1, bitorder="little")]
+    cliques: list[tuple[int, ...]] = []
+    stack = [((), (1 << n) - 1, 0)]  # (clique so far, candidates, excluded)
+    while stack:
+        r, p, x = stack.pop()
+        if not p:
+            if not x:
+                cliques.append(tuple(sorted(r)))
+            continue
+        best, pivot_nbrs, rest = -1, 0, p | x
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            nb = nbrs[low.bit_length() - 1]
+            count = (p & nb).bit_count()
+            if count > best:
+                best, pivot_nbrs = count, nb
+        branch = p & ~pivot_nbrs
+        while branch:
+            low = branch & -branch
+            branch ^= low
+            v = low.bit_length() - 1
+            stack.append((r + (v,), p & nbrs[v], x & nbrs[v]))
+            p ^= low
+            x |= low
+    if set(itertools.chain.from_iterable(cliques)) != set(range(n)):
         raise InvariantError("maximal cliques do not cover the vertex set")
-    return fan
+    # position k is the k-th label in label order, so sorting position tuples is the canonical sort
+    return Fan(universe=labels, masses=tuple(tuple(labels[order[k]] for k in c) for c in sorted(cliques)))
 
 
 def fan_representation(basis: UnitaryBasis, x0: str | None = None, mode: str = "numeric") -> Fan:
@@ -496,10 +511,9 @@ def fan_invariant(tag: Tag, fan: Fan, variant: str = "cue") -> FanInvariant:
         raise ValueError("fan does not belong to this tag")
     sizes = tuple(sorted(len(m) for m in fan.masses))
     degrees = tuple(sorted(membership_degrees(fan).values()))
-    sets = [set(m) for m in fan.masses]
-    inters = tuple(
-        sorted(len(a & b) for a, b in itertools.combinations(sets, 2))
-    )
+    bit = {y: 1 << k for k, y in enumerate(fan.universe)}
+    masks = [sum(bit[y] for y in set(m)) for m in fan.masses]
+    inters = tuple(sorted((a & b).bit_count() for a, b in itertools.combinations(masks, 2)))
     angles = unit_spectrum_angles(tag_members(tag, fan.universe), fan.universe)
     distinct = {a: _member_spectrum(a, variant) for a in set(angles)}  # many members share a spectrum
     spectrum = {y: distinct[a] for y, a in zip(fan.universe, angles)}

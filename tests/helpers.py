@@ -46,6 +46,35 @@ def brute_force_cliques(labels, adjacency) -> set[frozenset]:
     return {frozenset(labels[i] for i in c) for c in maximal}
 
 
+def frozenset_masses(vertices, adjacency) -> tuple[tuple[str, ...], ...]:
+    """MASS oracle on frozensets: the same pivoted recursion as ``enumerate_mass``, sorted by label keys.
+
+    Shares no code with the bitmask enumeration: vertices stay in input order, and each MASS
+    and the list of MASSes are sorted by ``label_sort_key`` comparisons.
+    """
+    from fanweave.basis import label_sort_key
+
+    n = len(vertices)
+    nbrs = [frozenset(np.nonzero(adjacency[i])[0].tolist()) - {i} for i in range(n)]
+    cliques: list[frozenset[int]] = []
+
+    def extend(r: frozenset, p: frozenset, x: frozenset) -> None:
+        if not p and not x:
+            cliques.append(r)
+            return
+        pivot = max(p | x, key=lambda u: len(p & nbrs[u]))
+        for v in sorted(p - nbrs[pivot]):
+            extend(r | {v}, p & nbrs[v], x & nbrs[v])
+            p = p - {v}
+            x = x | {v}
+
+    extend(frozenset(), frozenset(range(n)), frozenset())
+    return tuple(sorted(
+        (tuple(sorted((vertices[i] for i in c), key=label_sort_key)) for c in cliques),
+        key=lambda mass: tuple(label_sort_key(x) for x in mass),
+    ))
+
+
 def brute_force_cover(fan: fw.Fan) -> tuple[int, ...]:
     """Cover oracle without reductions: iterative-deepening lexicographic search over all MASSes.
 

@@ -13,7 +13,7 @@ from fanweave.combinatorics import LATIN_VARIANTS
 from fanweave.errors import InvariantError
 from fanweave.linalg import _BLOCK_BYTES
 
-from helpers import brute_force_cliques, predicate_adjacency, transformed_basis
+from helpers import brute_force_cliques, frozenset_masses, predicate_adjacency, transformed_basis
 
 
 def labelset(pairs):
@@ -350,7 +350,60 @@ class TestMonomialForm:
             fw.invariant_profile(basis, variant="pcue")
 
 
+def mixed_labels(n: int, rng) -> tuple[str, ...]:
+    """n distinct labels: integer pairs, one integer spelled several ways ("3", "03", "+3", " 2, 3"), and text."""
+    pool = [f"{m},{k}" for m in range(-2, 10) for k in range(10)]
+    pool += [f"{prefix}{k}" for prefix in ("", "0", "+", "t") for k in range(12)]
+    pool += ["1²", "+-3", "x,1", "1,x", " 2, 3"]
+    return tuple(rng.choice(pool, size=n, replace=False).tolist())
+
+
+def random_graph(n: int, density: float, rng) -> np.ndarray:
+    upper = np.triu(rng.random((n, n)) < density, 1)
+    adj = upper | upper.T
+    np.fill_diagonal(adj, True)
+    return adj
+
+
 class TestEnumerateMass:
+    @pytest.mark.parametrize("n", [0, 1, 7, 8, 9, 63, 64, 65, 130])
+    def test_matches_frozenset_oracle_on_random_graphs(self, n):
+        # sizes straddle the byte and 64-bit word boundaries of the neighbour masks;
+        # densities stay where the oracle's clique count is small
+        rng = np.random.default_rng(4100 + n)
+        densities = (0.1, 0.5, 0.9) if n < 10 else (0.1, 0.3) if n > 100 else (0.1, 0.3, 0.5)
+        for density in densities:
+            adj = random_graph(n, density, rng)
+            labels = mixed_labels(n, rng)
+            expected = frozenset_masses(labels, adj)
+            assert fw.enumerate_mass(fw.CommutationGraph(labels, adj, "numeric")).masses == expected, density
+            perm = rng.permutation(n)
+            shuffled = fw.CommutationGraph(tuple(labels[i] for i in perm), adj[np.ix_(perm, perm)], "numeric")
+            assert fw.enumerate_mass(shuffled).masses == expected, density
+
+    def test_matches_frozenset_oracle_on_overlapping_cliques(self):
+        # fan-like graphs: a few large cliques that share members
+        rng = np.random.default_rng(4200)
+        for n in (9, 64, 130):
+            adj = np.eye(n, dtype=bool)
+            for _ in range(n // 4 + 2):
+                members = rng.choice(n, size=rng.integers(2, min(n, 16) + 1), replace=False)
+                adj[np.ix_(members, members)] = True
+            labels = mixed_labels(n, rng)
+            fan = fw.enumerate_mass(fw.CommutationGraph(labels, adj, "numeric"))
+            assert fan.masses == frozenset_masses(labels, adj), n
+
+    @pytest.mark.parametrize("vertices, adjacency, reason", [
+        (("a", "a"), np.ones((2, 2), dtype=bool), "distinct; repeated: \\['a'\\]"),
+        (("a",), np.ones((2, 2), dtype=bool), "shape \\(2, 2\\), expected \\(1, 1\\)"),
+        (("a", "b", "c"), np.ones((2, 2), dtype=bool), "shape \\(2, 2\\), expected \\(3, 3\\)"),
+        (("a", "b"), np.array([[True, True], [False, True]]), "symmetric"),
+        (("a", "b"), np.array([[True, False], [False, False]]), "True diagonal"),
+    ], ids=["repeated-label", "one-vertex-2x2", "three-vertices-2x2", "asymmetric", "false-diagonal"])
+    def test_malformed_graph_refused(self, vertices, adjacency, reason):
+        with pytest.raises(InvariantError, match=reason):
+            fw.enumerate_mass(fw.CommutationGraph(vertices, adjacency, "numeric"))
+
     def test_matches_brute_force_oracle(self, weyl, z3f_basis):
         for basis, x0 in ((weyl(3), "0,0"), (weyl(4), "0,0"), (z3f_basis, "1,2")):
             tag = fw.tag_at(basis, x0)
@@ -572,6 +625,7 @@ class TestFanInvariant:
         inv = fw.fan_invariant(tag, fan)
         assert inv.mass_size_multiset == (3,) * 7
         assert inv.membership_degree_sequence == (1,) * 12 + (3,) * 3
+        assert inv.pairwise_intersection_multiset == (0,) * 12 + (1,) * 9
 
     def test_pauli2_combinatorics(self, pauli2):
         tag = fw.tag_at(pauli2, "I,I")
@@ -579,6 +633,8 @@ class TestFanInvariant:
         inv = fw.fan_invariant(tag, fan)
         assert inv.mass_size_multiset == (3,) * 15
         assert inv.membership_degree_sequence == (3,) * 15
+        # two MASSes share at most one member, and each member lies in three
+        assert inv.pairwise_intersection_multiset == (0,) * 60 + (1,) * 45
 
     def test_invariant_under_relabeling(self, weyl):
         basis = weyl(3)

@@ -108,6 +108,16 @@ class TestMinimalCover:
         cover = fw.minimal_cover(fan)
         assert set(cover.selected) == set(range(len(fan.masses)))
 
+    @pytest.mark.parametrize("d", range(3, 17))
+    def test_weyl_cover_is_dedekind_psi(self, weyl, d):
+        # psi(d) = d * prod_{p | d} (1 + 1/p): the cyclic subgroups of order d in Z_d x Z_d
+        psi = d
+        for p in range(2, d + 1):
+            if d % p == 0 and all(p % q for q in range(2, p)):
+                psi = psi * (p + 1) // p
+        fan = fw.fan_representation(weyl(d), "0,0", mode="exact-twill")
+        assert len(fw.minimal_cover(fan).selected) == psi
+
     def test_cover_is_actually_a_cover(self, weyl, s3_basis):
         for basis, x0 in ((weyl(6), "0,0"), (s3_basis, "0,0")):
             _, fan = tag_and_fan(basis, x0)
