@@ -40,6 +40,7 @@ from .linalg import (
     multiplicity_partition,
     round_unit_angle,
     simul_diag,
+    unit_angle_differences,
     unit_spectrum_angles,
     vec_to_op,
 )
@@ -329,6 +330,21 @@ class Fan:
     universe: tuple[str, ...]
     masses: tuple[tuple[str, ...], ...]
 
+    @functools.cached_property
+    def masks(self) -> tuple[int, ...]:
+        """One int per MASS, with bit k set when the MASS holds ``universe[k]``.
+
+        A universe that repeats a label, or a MASS label outside the universe, raises ValueError.
+        """
+        bit = {y: 1 << k for k, y in enumerate(self.universe)}
+        if len(bit) != len(self.universe):
+            repeated = [x for x, count in Counter(self.universe).items() if count > 1]
+            raise ValueError(f"fan universe repeats labels: {repeated}")
+        try:
+            return tuple(sum(bit[y] for y in set(m)) for m in self.masses)
+        except KeyError as exc:
+            raise ValueError(f"MASS label {exc.args[0]!r} is not in the fan universe") from None
+
 
 def enumerate_mass(graph: CommutationGraph) -> Fan:
     """Enumerate every maximal clique of the commutation graph.
@@ -380,11 +396,17 @@ def enumerate_mass(graph: CommutationGraph) -> Fan:
     return Fan(universe=labels, masses=tuple(tuple(labels[order[k]] for k in c) for c in sorted(cliques)))
 
 
+def tag_and_fan(basis: UnitaryBasis, x0: str, mode: str = "numeric") -> tuple[Tag, Fan]:
+    """The tag of the basis at x0 and its fan."""
+    tag = tag_at(basis, x0)
+    return tag, enumerate_mass(commutation_graph(tag, mode=mode))
+
+
 def fan_representation(basis: UnitaryBasis, x0: str | None = None, mode: str = "numeric") -> Fan:
     """Fan of the tag at x0, or of the untagged basis when x0 is None."""
     if x0 is None:
         return enumerate_mass(basis_commutation_graph(basis, mode=mode))
-    return enumerate_mass(commutation_graph(tag_at(basis, x0), mode=mode))
+    return tag_and_fan(basis, x0, mode)[1]
 
 
 def fan_system(basis: UnitaryBasis, mode: str = "numeric") -> dict[str, Fan]:
@@ -493,17 +515,6 @@ class FanInvariant:
     spectra: tuple
 
 
-def _member_spectrum(angles: tuple[float, ...], variant: str):
-    if variant == "cue":
-        return angles
-    partition = multiplicity_partition(angles)
-    diffs = sorted(
-        round_unit_angle(np.exp(1j * (a - b)))
-        for a, b in itertools.permutations(angles, 2)
-    )
-    return (partition, tuple(diffs))
-
-
 def fan_invariant(tag: Tag, fan: Fan, variant: str = "cue") -> FanInvariant:
     if variant not in INVARIANT_VARIANTS:
         raise ValueError(f"variant must be one of {INVARIANT_VARIANTS}")
@@ -511,11 +522,10 @@ def fan_invariant(tag: Tag, fan: Fan, variant: str = "cue") -> FanInvariant:
         raise ValueError("fan does not belong to this tag")
     sizes = tuple(sorted(len(m) for m in fan.masses))
     degrees = tuple(sorted(membership_degrees(fan).values()))
-    bit = {y: 1 << k for k, y in enumerate(fan.universe)}
-    masks = [sum(bit[y] for y in set(m)) for m in fan.masses]
-    inters = tuple(sorted((a & b).bit_count() for a, b in itertools.combinations(masks, 2)))
+    inters = tuple(sorted((a & b).bit_count() for a, b in itertools.combinations(fan.masks, 2)))
     angles = unit_spectrum_angles(tag_members(tag, fan.universe), fan.universe)
-    distinct = {a: _member_spectrum(a, variant) for a in set(angles)}  # many members share a spectrum
+    distinct = {a: a if variant == "cue" else (multiplicity_partition(a), unit_angle_differences(a))
+                for a in set(angles)}  # many members share a spectrum
     spectrum = {y: distinct[a] for y, a in zip(fan.universe, angles)}
     spectra = tuple(sorted(tuple(sorted(spectrum[y] for y in mass)) for mass in fan.masses))
     return FanInvariant(
@@ -529,12 +539,7 @@ def fan_invariant(tag: Tag, fan: Fan, variant: str = "cue") -> FanInvariant:
 
 def invariant_profile(basis: UnitaryBasis, variant: str = "cue") -> tuple[FanInvariant, ...]:
     """Sorted multiset of fan invariants over every tag of the basis."""
-    profile = []
-    for x0 in basis.labels:
-        tag = tag_at(basis, x0)
-        fan = enumerate_mass(commutation_graph(tag, mode="numeric"))
-        profile.append(fan_invariant(tag, fan, variant))
-    return tuple(sorted(profile))
+    return tuple(sorted(fan_invariant(*tag_and_fan(basis, x0), variant) for x0 in basis.labels))
 
 
 def compare_ub(a: UnitaryBasis, b: UnitaryBasis, variant: str = "cue") -> str:

@@ -86,11 +86,6 @@ def _load_basis(path: str) -> basis_mod.UnitaryBasis:
         _fail(f"cannot load unitary basis from {path}: {exc}")
 
 
-def _tag_and_fan(built: basis_mod.UnitaryBasis, tag_label: str):
-    tag = basis_mod.tag_at(built, tag_label)
-    return tag, basis_mod.enumerate_mass(basis_mod.commutation_graph(tag))
-
-
 def _resolve_group(spec: str) -> comb.FiniteGroup:
     factors = []
     for part in spec.lower().split("x"):
@@ -216,7 +211,7 @@ def compare(cfg, file_a, file_b, variant):
 @click.pass_obj
 def mub(cfg, basis_file, tag_label):
     """Mutually unbiased bases from a fan that partitions the tag system."""
-    tag, fan = _tag_and_fan(_load_basis(basis_file), tag_label)
+    tag, fan = basis_mod.tag_and_fan(_load_basis(basis_file), tag_label)
     system = tomo.mub_from_partition(tag, fan.masses, rng_seed=cfg.seed)
     deviation = tomo.mub_unbiasedness_deviation(system.bases, system.d)
     _emit(cfg, {
@@ -236,7 +231,7 @@ def mub(cfg, basis_file, tag_label):
 @click.pass_obj
 def povm(cfg, basis_file, tag_label, strategy, hub_label):
     """Pure POVM from the fan of a tag (crude cover-based or hub-refined)."""
-    tag, fan = _tag_and_fan(_load_basis(basis_file), tag_label)
+    tag, fan = basis_mod.tag_and_fan(_load_basis(basis_file), tag_label)
     cover = tomo.minimal_cover(fan)
     if strategy == "crude":
         measure = tomo.crude_povm(tag, cover, rng_seed=cfg.seed)
@@ -290,7 +285,7 @@ def ppt_cmd(cfg, outer, half_dim, shift, zero_tuple):
 @click.pass_obj
 def hadamard_fan_cmd(cfg, basis_file, tag_label):
     """Per-MASS diagonalizers and partial Hadamard matrices of a tag fan."""
-    tag, fan = _tag_and_fan(_load_basis(basis_file), tag_label)
+    tag, fan = basis_mod.tag_and_fan(_load_basis(basis_file), tag_label)
     hfan = basis_mod.hadamard_fan(tag, fan, rng_seed=cfg.seed)
     _emit(cfg, {
         "masses": len(hfan.entries),

@@ -55,11 +55,10 @@ def group_from_cayley(table) -> FiniteGroup:
             break
     if identity is None:
         raise ValueError("no two-sided identity element")
-    if n <= 64:
-        lhs = t[t]          # lhs[a, b, c] = (a*b)*c
-        rhs = t[:, t]       # rhs[a, b, c] = a*(b*c)
-        if not np.array_equal(lhs, rhs):
-            a, b, c = np.argwhere(lhs != rhs)[0]
+    for a in range(n):  # one row at a time: t[t[a]][b, c] = (a*b)*c and t[a][t][b, c] = a*(b*c)
+        failing = np.argwhere(t[t[a]] != t[a][t])
+        if len(failing):
+            b, c = failing[0]
             raise ValueError(f"associativity fails at triple ({a}, {b}, {c})")
     inverse = np.empty(n, dtype=int)
     for a in range(n):

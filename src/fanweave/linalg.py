@@ -128,11 +128,26 @@ def unit_spectrum_angles(a, labels=None):
             f"spectrum of member {i if labels is None else labels[i]}: eigenvalue angle {theta[i, k]!r} "
             f"lies {margin[i, k]:.1e} rad from a rounding boundary at {ANGLE_DECIMALS} decimals"
         )
+    angles = [tuple(row) for row in np.sort(_round_angles(theta), axis=1).tolist()]
+    return angles if stacked else angles[0]
+
+
+def _round_angles(theta: np.ndarray) -> np.ndarray:
     # _round_angle of every angle: away from a boundary numpy's rounding gives the same doubles as round()
     rounded = np.round(theta, ANGLE_DECIMALS)
     rounded[rounded >= _TWO_PI_ROUNDED] = 0.0
-    angles = [tuple(row) for row in np.sort(rounded, axis=1).tolist()]
-    return angles if stacked else angles[0]
+    return rounded
+
+
+def unit_angle_differences(angles) -> tuple[float, ...]:
+    """Sorted :func:`round_unit_angle` of ``exp(i (a - b))`` over ordered pairs of distinct entries of ``angles``.
+
+    For rounded ``angles`` every difference lies near a multiple of the rounding step, or of it plus 2*pi, so far
+    from a rounding boundary that one array rounding gives the scalar doubles.
+    """
+    a = np.asarray(angles, dtype=float)
+    diff = (a[:, None] - a)[~np.eye(len(a), dtype=bool)]
+    return tuple(np.sort(_round_angles(np.angle(np.exp(1j * diff)) % _TWO_PI)).tolist())
 
 
 def multiplicity_partition(angles) -> tuple[int, ...]:

@@ -126,33 +126,6 @@ class CoverSelection:
 _COVER_NODE_BUDGET = 1_000_000
 
 
-def _reduce_cover(sets, universe):
-    """Apply the forced and dominated reductions until neither changes anything.
-
-    Returns the forced indices, the surviving indices, the still-uncovered
-    set and the number of dominated MASSes dropped.
-    """
-    forced: list[int] = []
-    alive = list(range(len(sets)))
-    uncovered = universe
-    dominated = 0
-    while True:
-        parts = {i: sets[i] & uncovered for i in alive}
-        kept = [i for k, i in enumerate(alive)
-                if parts[i] and not any(parts[i] <= parts[j] for j in alive[:k])]
-        dominated += len(alive) - len(kept)
-        owners: dict[str, list[int]] = {}
-        for i in kept:
-            for x in parts[i]:
-                owners.setdefault(x, []).append(i)
-        newly = {own[0] for own in owners.values() if len(own) == 1}
-        if not newly and len(kept) == len(alive):
-            return forced, alive, uncovered, dominated
-        forced.extend(newly)
-        alive = [i for i in kept if i not in newly]
-        uncovered = uncovered.difference(*(sets[i] for i in newly))
-
-
 def minimal_cover(fan: Fan) -> CoverSelection:
     """Exact minimum set cover of the fan universe by its MASSes.
 
@@ -177,46 +150,59 @@ def minimal_cover(fan: Fan) -> CoverSelection:
     a search past ``_COVER_NODE_BUDGET`` nodes raises
     :class:`UnsupportedConfigurationError`.
     """
-    sets = [frozenset(m) for m in fan.masses]
-    universe = frozenset(fan.universe)
-    if frozenset().union(*sets) != universe:
-        raise ValueError("fan does not cover its universe")
-    forced, alive, uncovered, dominated = _reduce_cover(sets, universe)
-    rest = [sets[i] & uncovered for i in alive]
+    masks = fan.masks
+    forced: list[int] = []
+    alive = list(range(len(masks)))
+    uncovered = (1 << len(fan.universe)) - 1
+    dominated = 0
+    while True:  # the forced and dominated reductions, until neither changes anything
+        parts = {i: masks[i] & uncovered for i in alive}
+        kept = [i for k, i in enumerate(alive)
+                if parts[i] and not any(parts[i] & ~parts[j] == 0 for j in alive[:k])]
+        dominated += len(alive) - len(kept)
+        once = twice = 0  # the elements that one, and that two or more, kept MASSes cover
+        for i in kept:
+            twice |= once & parts[i]
+            once |= parts[i]
+        newly = [i for i in kept if parts[i] & ~twice]
+        if not newly and len(kept) == len(alive):
+            break
+        forced.extend(newly)
+        alive = [i for i in kept if not parts[i] & ~twice]
+        for i in newly:
+            uncovered &= ~masks[i]
+    rest = [masks[i] & uncovered for i in alive]
     n = len(rest)
-    max_size = max((len(s) for s in rest), default=0)
-    containing: dict[str, tuple[int, ...]] = {
-        x: tuple(i for i in range(n) if x in rest[i]) for x in uncovered
-    }
+    max_size = max((r.bit_count() for r in rest), default=0)
+    reach = [0] * (n + 1)  # reach[start]: the union of rest[start:]
+    for i in reversed(range(n)):
+        reach[i] = reach[i + 1] | rest[i]
+    if uncovered & ~reach[0]:
+        raise ValueError("fan does not cover its universe")
     nodes = 0
 
-    def dfs(start: int, chosen: list[int], uncovered: frozenset, slots: int):
+    def dfs(start: int, uncovered: int, slots: int) -> list[int] | None:
         nonlocal nodes
         nodes += 1
         if nodes > _COVER_NODE_BUDGET:
             raise UnsupportedConfigurationError(
-                f"minimal cover search over a fan of {len(sets)} MASSes ({len(universe)} elements) "
+                f"minimal cover search over a fan of {len(masks)} MASSes ({len(fan.universe)} elements) "
                 f"exceeded its node budget: {_COVER_NODE_BUDGET} nodes explored without proving a minimum"
             )
         if not uncovered:
-            return list(chosen)
-        if slots == 0 or slots * max_size < len(uncovered):
-            return None
-        # every uncovered element must still be coverable by an index >= start
-        if any(containing[x][-1] < start for x in uncovered):
+            return []
+        # too few slots left, or an uncovered element that no index >= start covers
+        if slots == 0 or slots * max_size < uncovered.bit_count() or uncovered & ~reach[start]:
             return None
         for i in range(start, n):
-            if not (rest[i] & uncovered):
-                continue
-            chosen.append(i)
-            hit = dfs(i + 1, chosen, uncovered - rest[i], slots - 1)
-            if hit is not None:
-                return hit
-            chosen.pop()
+            if rest[i] & uncovered:
+                hit = dfs(i + 1, uncovered & ~rest[i], slots - 1)
+                if hit is not None:
+                    return [i, *hit]
         return None
 
     for k in range(n + 1):
-        hit = dfs(0, [], uncovered, k)
+        hit = dfs(0, uncovered, k)
         if hit is not None:
             size = len(forced) + k
             certificate = {
@@ -354,9 +340,9 @@ def refined_povm(tag: Tag, cover: CoverSelection, hub: str, rng_seed: int = 0) -
     if hub not in tag.operators:
         raise ValueError(f"hub {hub!r} is not a member of the tag system")
     d = tag.d
-    cover_sets = [frozenset(m) for m in cover.masses]
-    n_cover = len(cover_sets)
-    hits_of = {y: tuple(i for i, s in enumerate(cover_sets) if y in s) for y in tag.labels}
+    masks = [cover.fan.masks[i] for i in cover.selected]
+    n_cover = len(masks)
+    hits_of = {y: tuple(i for i, m in enumerate(masks) if m >> k & 1) for k, y in enumerate(cover.fan.universe)}
     # only the hub and the members in two or more cover MASSes can decide a group
     spectral = [hub, *(y for y in tag.labels if y != hub and len(hits_of[y]) >= 2)]
     angles = unit_spectrum_angles(tag_members(tag, spectral), spectral)
@@ -371,8 +357,7 @@ def refined_povm(tag: Tag, cover: CoverSelection, hub: str, rng_seed: int = 0) -
     for y in spectral:
         if partitions[y] == hub_sig and len(hits_of[y]) >= 2:
             groups.setdefault(hits_of[y], set()).add(y)
-    covered = sorted(i for hits in groups for i in hits)
-    if covered != sorted(set(covered)) or set(covered) != set(range(n_cover)):
+    if sorted(i for hits in groups for i in hits) != list(range(n_cover)):
         raise UnsupportedConfigurationError(
             "hub groups do not partition the cover; this fan does not match a supported "
             f"hub template (grouped cover indices: {sorted(groups)})"

@@ -617,6 +617,24 @@ class TestHadamardFan:
             assert got == baseline
 
 
+class TestFanMasks:
+    def test_bit_k_is_universe_k(self):
+        fan = fw.Fan(universe=("b", "a", "c"), masses=(("a", "b"), ("c", "a"), ("a", "a")))
+        assert fan.masks == (0b011, 0b110, 0b010)
+
+    @pytest.mark.parametrize("malformed", ["repeated-label", "label-outside"])
+    def test_malformed_fan_refused(self, weyl, malformed):
+        tag = fw.tag_at(weyl(3), "0,0")
+        fan = fw.fan_representation(weyl(3), "0,0")
+        if malformed == "repeated-label":
+            fan, message = fw.Fan(fan.universe + fan.universe[:1], fan.masses), r"repeats labels: \['0,1'\]"
+        else:
+            fan, message = fw.Fan(fan.universe, ((*fan.masses[0], "9,9"), *fan.masses[1:])), "'9,9' is not in"
+        for use in (lambda: fan.masks, lambda: fw.fan_invariant(tag, fan), lambda: fw.minimal_cover(fan)):
+            with pytest.raises(ValueError, match=message):
+                use()
+
+
 class TestFanInvariant:
     def test_weyl4_combinatorics(self, weyl):
         basis = weyl(4)

@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -48,6 +49,15 @@ class TestGroups:
             [4, 3, 1, 2, 0],
         ]
         with pytest.raises(ValueError, match="associativity|identity"):
+            fw.group_from_cayley(table)
+
+    def test_rejects_non_associative_above_order_64(self):
+        # Z_66 with one intercalate swapped: a latin square with identity 0 and inverses, but not a group
+        a = np.arange(66)
+        table = (a[:, None] + a) % 66
+        table[np.ix_([1, 34], [2, 35])] = table[np.ix_([1, 34], [35, 2])]
+        first = tuple(int(i) for i in np.argwhere(table[table] != table[:, table])[0])  # (a*b)*c != a*(b*c)
+        with pytest.raises(ValueError, match=re.escape(f"associativity fails at triple {first}")):
             fw.group_from_cayley(table)
 
 

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -47,6 +49,18 @@ class TestUnitSpectrumAngles:
     def test_rejects_non_square_stack(self):
         with pytest.raises(ValueError, match="shape"):
             fw.linalg.unit_spectrum_angles(np.ones((2, 2, 3)))
+
+
+class TestUnitAngleDifferences:
+    def test_matches_scalar_rounding_on_every_member_spectrum(self, weyl, pauli2, s3_basis):
+        tags = [fw.tag_at(b, x0) for b in (weyl(4), weyl(6), pauli2, s3_basis) for x0 in b.labels]
+        tags.append(fw.tag_at(weyl(12), "0,0"))
+        spectra = {a for t in tags for a in fw.linalg.unit_spectrum_angles(fw.basis.tag_members(t, t.labels))}
+        for angles in spectra:
+            scalar = sorted(fw.linalg.round_unit_angle(np.exp(1j * (a - b)))
+                            for a, b in itertools.permutations(angles, 2))
+            assert fw.linalg.unit_angle_differences(angles) == tuple(scalar), angles
+        assert len(spectra) >= 20
 
 
 class TestIsUnitary:

@@ -125,6 +125,16 @@ class TestMinimalCover:
             covered = set(itertools.chain.from_iterable(cover.masses))
             assert covered == set(fan.universe)
 
+    def test_uncoverable_fan_refused(self):
+        fan = fw.Fan(universe=("a", "b", "c"), masses=(("a", "b"), ("b",)))
+        with pytest.raises(ValueError, match="fan does not cover its universe"):
+            fw.minimal_cover(fan)
+
+    def test_search_nodes_on_random_set_systems(self):
+        # nodes_explored is part of the certificate, so a change to the pruning shows here
+        certs = [fw.minimal_cover(random_set_fan(np.random.default_rng(seed))).certificate for seed in range(200)]
+        assert sum(c["nodes_explored"] for c in certs) == 1892
+
 
 def random_set_fan(rng) -> fw.Fan:
     """A random set system as a fan, with nested sets and sets that agree off a covered part."""
