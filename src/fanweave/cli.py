@@ -11,7 +11,6 @@ seed is echoed into every report.
 
 from __future__ import annotations
 
-import json
 import re
 import sys
 
@@ -48,7 +47,7 @@ def _emit(cfg: RunConfig, report: dict, artifact: dict | None = None) -> None:
         ser.write_json(cfg.out, artifact)
     report = {"seed": cfg.seed, **report}
     if cfg.fmt == "json":
-        click.echo(json.dumps(report, indent=2))
+        click.echo(ser.dumps(report), nl=False)
     else:
         for key, value in report.items():
             click.echo(f"{key}: {value}")

@@ -4,11 +4,22 @@ Complex scalars are serialized as [re, im] pairs; floats go through Python's
 shortest-round-trip repr, so writing and re-reading a file reproduces the
 doubles bit for bit and identical inputs give byte-identical files.  Loaders
 check the shape of what they read and raise ``ValueError`` naming the field.
+
+``dumps`` (and so ``write_json`` and the CLI's ``--format json`` report) gives
+exactly the text of ``json.dumps(obj, indent=2) + "\n"``, which with any
+indent runs json's pure-Python encoder one generator step per value.  A list
+whose items are all ``[float, float]`` lists of exact, finite ``float``s (the
+``entries`` of every matrix) is rendered by one %-format of a repeated pair
+template; any other value, a NaN or an ``np.float64`` in a pair included,
+follows json's rules one value at a time.
 """
 
 from __future__ import annotations
 
 import json
+from itertools import chain
+from json.encoder import encode_basestring_ascii
+from math import inf, isfinite
 
 import numpy as np
 
@@ -181,10 +192,12 @@ def fan_from_json(obj) -> Fan:
     masses = _get(obj, "masses", list)
     if not all(isinstance(m, list) for m in masses):
         raise ValueError("field 'masses' must be an array of label arrays")
-    return Fan(
+    fan = Fan(
         universe=tuple(str(x) for x in _get(obj, "universe", list)),
         masses=tuple(tuple(str(x) for x in m) for m in masses),
     )
+    fan.masks  # raises ValueError on a repeated universe label or a MASS label outside the universe
+    return fan
 
 
 def fan_to_dot(fan: Fan) -> str:
@@ -258,8 +271,94 @@ def certificate_to_json(cert: PptCertificate) -> dict:
 # file helpers
 
 
-def dumps(obj: dict) -> str:
-    return json.dumps(obj, indent=2) + "\n"
+def dumps(obj) -> str:
+    """``json.dumps(obj, indent=2) + "\\n"``, byte for byte, without json's pure-Python indent encoder."""
+    chunks: list[str] = []
+    _encode(obj, "\n", chunks.append)
+    chunks.append("\n")
+    return "".join(chunks)
+
+
+def _encode(o, nl: str, put) -> None:
+    """Append the text of ``o`` through ``put``; ``nl`` is a newline plus the indent of ``o``'s level."""
+    if isinstance(o, str):
+        put(encode_basestring_ascii(o))
+    elif o is None:
+        put("null")
+    elif o is True:
+        put("true")
+    elif o is False:
+        put("false")
+    elif isinstance(o, int):
+        put(int.__repr__(o))
+    elif isinstance(o, float):
+        put(_float(o))
+    elif isinstance(o, (list, tuple)):
+        if not o:
+            put("[]")
+            return
+        inner = nl + "  "
+        pairs = _pair_block(o, inner)
+        if pairs is not None:
+            put("[" + inner + pairs)
+        else:
+            sep = "[" + inner
+            for item in o:
+                put(sep)
+                _encode(item, inner, put)
+                sep = "," + inner
+        put(nl + "]")
+    elif isinstance(o, dict):
+        if not o:
+            put("{}")
+            return
+        inner = nl + "  "
+        sep = "{" + inner
+        for key, value in o.items():
+            put(sep + encode_basestring_ascii(_key(key)) + ": ")
+            _encode(value, inner, put)
+            sep = "," + inner
+        put(nl + "}")
+    else:
+        raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
+
+
+def _pair_block(items, nl: str) -> str | None:
+    """The items of a list of finite ``[float, float]`` pairs in one %-format, or None for any other list."""
+    if set(map(type, items)) != {list} or set(map(len, items)) != {2}:
+        return None
+    flat = tuple(chain.from_iterable(items))
+    if set(map(type, flat)) != {float} or not all(map(isfinite, flat)):
+        return None
+    inner = nl + "  "
+    return ("," + nl).join([f"[{inner}%r,{inner}%r{nl}]"] * len(items)) % flat
+
+
+def _float(x: float) -> str:
+    if x != x:
+        return "NaN"
+    if x == inf:
+        return "Infinity"
+    if x == -inf:
+        return "-Infinity"
+    return float.__repr__(x)
+
+
+def _key(key) -> str:
+    """A dict key as json writes it: str as is; float, bool, None and int converted."""
+    if isinstance(key, str):
+        return key
+    if isinstance(key, float):
+        return _float(key)
+    if key is True:
+        return "true"
+    if key is False:
+        return "false"
+    if key is None:
+        return "null"
+    if isinstance(key, int):
+        return int.__repr__(key)
+    raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
 
 
 def write_json(path: str, obj: dict) -> None:

@@ -228,6 +228,19 @@ class TestMubPovmPpt:
         assert result.output.startswith("error: minimal cover search over a fan of 15 MASSes")
         assert "10 nodes explored" in result.output
 
+    def test_povm_artifact_and_report_in_json_indent_2(self, runner, tmp_path, weyl):
+        # doubles round-trip exactly, so re-encoding with json pins the bytes on disk and on stdout
+        write_basis(tmp_path / "weyl4.json", weyl(4))
+        out = tmp_path / "p.json"
+        result = invoke(runner, [
+            "--format", "json", "--out", str(out), "povm", str(tmp_path / "weyl4.json"), "--tag", "0,0",
+        ])
+        assert result.exit_code == 0
+        text = out.read_text(encoding="utf-8")
+        assert len(json.loads(text)["elements"]) == 19
+        assert text == json.dumps(json.loads(text), indent=2) + "\n"
+        assert result.output == json.dumps(json.loads(result.output), indent=2) + "\n"
+
     def test_ppt(self, runner, tmp_path):
         out = tmp_path / "cert.json"
         result = invoke(runner, ["--seed", "7", "--out", str(out), "ppt", "--n", "3"])

@@ -1,4 +1,7 @@
+import enum
 import json
+import random
+import struct
 
 import numpy as np
 import pytest
@@ -95,6 +98,14 @@ class TestFanAndArtifacts:
             for x in mass:
                 assert f'M{k} -- "{x}";' in dot
 
+    @pytest.mark.parametrize("obj, message", [
+        ({"universe": ["a", "a"], "masses": [["a", "z"]]}, r"fan universe repeats labels: \['a'\]"),
+        ({"universe": ["a", "b"], "masses": [["a", "z"]]}, "MASS label 'z' is not in the fan universe"),
+    ], ids=["repeated-label", "outside-label"])
+    def test_malformed_fan_refused(self, obj, message):
+        with pytest.raises(ValueError, match=message):
+            ser.fan_from_json(obj)
+
     def test_povm_round_trip(self, weyl):
         tag = fw.tag_at(weyl(3), "0,0")
         fan = fw.fan_representation(weyl(3), "0,0")
@@ -123,3 +134,111 @@ class TestFanAndArtifacts:
     def test_dumps_is_deterministic(self, weyl):
         basis = weyl(3)
         assert ser.dumps(ser.basis_to_json(basis)) == ser.dumps(ser.basis_to_json(fw.build_weyl(3)))
+
+
+# ---------------------------------------------------------------------------
+# dumps gives the bytes of json.dumps(obj, indent=2) + "\n"
+
+NAN = float("nan")
+
+
+class Level(enum.IntEnum):
+    HIGH = 7
+
+
+SCALARS = [
+    NAN, float("inf"), float("-inf"), -0.0, 0.0, 5e-324, 1e16, 1e-7, 0.1, 2.0**63,
+    np.float64(2.5), np.float64("nan"), np.float64("-inf"),
+    True, False, None, 0, -1, 2**63, -(2**64) - 1, 10**30, Level.HIGH,
+    "", "plain", "é漢😀", "\x00\x1f\n\t\"\\/", "\u2028\x7f",
+]
+KEYS = ["", "k", "é", "\x07", 0, -3, 2**65, Level.HIGH, 1.5, -0.0, float("inf"), NAN, True, False, None]
+SPOILERS = [NAN, float("-inf"), 3, True, None, np.float64(0.5), [0.5, 0.5, 0.5], [0.5], (0.5, 0.5), "0.5"]
+
+
+def _random_double(rng):
+    """Any bit pattern: normals, subnormals, zeros of both signs, and now and then a NaN or an infinity."""
+    return struct.unpack("<d", rng.getrandbits(64).to_bytes(8, "little"))[0]
+
+
+def _random_value(rng, depth=0):
+    kind = rng.randrange(6) if depth < 4 else rng.randrange(2)
+    if kind == 0:
+        return rng.choice(SCALARS)
+    if kind == 1:
+        return _random_double(rng) if rng.random() < 0.5 else rng.uniform(-1.0, 1.0)
+    if kind == 2:
+        items = [_random_value(rng, depth + 1) for _ in range(rng.randrange(4))]
+        return items if rng.random() < 0.7 else tuple(items)
+    if kind == 3:
+        return {rng.choice(KEYS): _random_value(rng, depth + 1) for _ in range(rng.randrange(4))}
+    # a pair list, the encoder's fast path, now and then spoiled by one item
+    pairs = [[rng.uniform(-1.0, 1.0), _random_double(rng)] for _ in range(rng.randrange(1, 6))]
+    if rng.random() < 0.4:
+        k = rng.randrange(len(pairs))
+        spoiler = rng.choice(SPOILERS)
+        if isinstance(spoiler, (list, tuple)):
+            pairs[k] = spoiler
+        else:
+            pairs[k][rng.randrange(2)] = spoiler
+    return pairs
+
+
+def _reference(obj) -> str:
+    return json.dumps(obj, indent=2) + "\n"
+
+
+class TestDumpsMatchesJson:
+    def test_random_nested_values(self):
+        rng = random.Random(2024)
+        for _ in range(3000):
+            obj = _random_value(rng)
+            assert ser.dumps(obj) == _reference(obj), obj
+
+    def test_pair_lists(self):
+        good = [[0.1, -0.0], [5e-324, 1e16], [-1.5, 2.0**-1074]]
+        assert ser.dumps(good) == _reference(good)
+        assert ser.dumps({"entries": good}) == _reference({"entries": good})
+        for spoiler in SPOILERS:
+            for k in range(2):
+                spoiled = [list(p) for p in good]
+                spoiled[1][k] = spoiler
+                assert ser.dumps(spoiled) == _reference(spoiled), spoiled
+            replaced = [good[0], spoiler, good[2]]
+            assert ser.dumps(replaced) == _reference(replaced), replaced
+
+    @pytest.mark.parametrize("obj", [
+        *SCALARS, [], {}, (), [[]], {"a": {}}, [(), [[]]],
+        {key: [key] for key in KEYS}, {1: "a", "1": "b"},
+    ])
+    def test_fixed_values(self, obj):
+        assert ser.dumps(obj) == _reference(obj)
+
+    @pytest.mark.parametrize("obj", [{1, 2}, np.int64(3), [np.int64(3)], {"a": [0.5, {2}]}, [[0.5, np.int64(1)]]])
+    def test_unsupported_value_raises_type_error(self, obj):
+        with pytest.raises(TypeError, match="is not JSON serializable"):
+            ser.dumps(obj)
+        with pytest.raises(TypeError):
+            _reference(obj)
+
+    def test_unsupported_key_raises_type_error(self):
+        with pytest.raises(TypeError, match="keys must be str, int, float, bool or None, not tuple"):
+            ser.dumps({(1, 2): 0})
+
+    @pytest.mark.parametrize("name", ["weyl12", "weyl6-crude-povm", "hadamard-fan", "mub", "ppt"])
+    def test_real_artifacts(self, name, weyl):
+        if name == "weyl12":
+            obj = ser.basis_to_json(weyl(12))
+            assert obj["provenance"]["hadamard"]["exponents"]
+        elif name == "weyl6-crude-povm":
+            tag, fan = fw.tag_at(weyl(6), "0,0"), fw.fan_representation(weyl(6), "0,0")
+            obj = ser.povm_to_json(fw.crude_povm(tag, fw.minimal_cover(fan)))
+        elif name == "hadamard-fan":
+            tag, fan = fw.tag_at(weyl(4), "0,0"), fw.fan_representation(weyl(4), "0,0")
+            obj = ser.hadamard_fan_to_json(fw.hadamard_fan(tag, fan, rng_seed=1), 1)
+        elif name == "mub":
+            tag, fan = fw.tag_at(weyl(5), "0,0"), fw.fan_representation(weyl(5), "0,0")
+            obj = ser.mub_to_json(fw.mub_from_partition(tag, fan.masses))
+        else:
+            obj = ser.certificate_to_json(fw.build_ppt(3, rng_seed=4))
+        assert ser.dumps(obj) == _reference(obj)
