@@ -98,10 +98,12 @@ class UnitaryBasis:
     labels: tuple[str, ...]
     operators: dict[str, np.ndarray]
     provenance: Provenance
+    gram_max_deviation: float  # worst |tr(U_x* U_y) - d delta_xy| over all pairs, as the basis check measured it
     form: MonomialForm | None = None  # rows in label order; None when some operator is not monomial
 
 
-def _check_hs_family(labels, stack, d, what):
+def _check_hs_family(labels, stack, d, what) -> float:
+    """Worst ``|tr(U_a* U_b) - d delta_ab|`` over the stack; InvariantError naming the pair above ``orthogonality``."""
     dev = gram_deviation(stack.reshape(len(labels), d * d), float(d))
     worst = np.unravel_index(np.argmax(dev), dev.shape)
     if dev[worst] > tols().orthogonality:
@@ -110,6 +112,7 @@ def _check_hs_family(labels, stack, d, what):
             f"{what}: trace orthogonality fails for pair ({a}, {b}): "
             f"|tr(U*U) - d delta| = {dev[worst]:.3e}"
         )
+    return float(dev[worst])
 
 
 def unitary_basis(labels, operators: dict[str, np.ndarray], provenance: Provenance) -> UnitaryBasis:
@@ -131,8 +134,9 @@ def unitary_basis(labels, operators: dict[str, np.ndarray], provenance: Provenan
         if resid > tols().unitarity:
             raise InvariantError(f"operator {x} is not unitary: ||U*U - I||_F = {resid:.3e}")
     stack = np.stack([ops[x] for x in labels])
-    _check_hs_family(labels, stack, d, "unitary basis")
-    return UnitaryBasis(d=d, labels=labels, operators=ops, provenance=provenance, form=monomial_form(stack))
+    gram = _check_hs_family(labels, stack, d, "unitary basis")
+    return UnitaryBasis(d=d, labels=labels, operators=ops, provenance=provenance, gram_max_deviation=gram,
+                        form=monomial_form(stack))
 
 
 def build_shift_multiply(
@@ -225,15 +229,6 @@ def tag_at(basis: UnitaryBasis, x0: str) -> Tag:
     _check_hs_family(rest, stack, basis.d, f"tag at {x0}")
     form = None if basis.form is None else basis.form.tag(i0)
     return Tag(x0=x0, labels=rest, operators=dict(zip(rest, stack)), d=basis.d, basis=basis, form=form)
-
-
-def twill_check(basis: UnitaryBasis, x: str, x0: str, y: str) -> bool:
-    """True iff ``U_x U_x0* U_y = U_y U_x0* U_x``, i.e. the tag members at x and y commute."""
-    if x == x0 or y == x0:
-        return True
-    ux, u0, uy = (basis.operators[z] for z in (x, x0, y))
-    mid = u0.conj().T
-    return bool(np.linalg.norm(ux @ mid @ uy - uy @ mid @ ux) <= tols().commutation)
 
 
 # ---------------------------------------------------------------------------

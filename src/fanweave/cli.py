@@ -15,7 +15,6 @@ import re
 import sys
 
 import click
-import numpy as np
 
 from . import basis as basis_mod
 from . import combinatorics as comb
@@ -23,7 +22,6 @@ from . import serialize as ser
 from . import tomography as tomo
 from . import ppt as ppt_mod
 from .config import RunConfig, tolerances
-from .linalg import gram_deviation
 
 
 def _fail(message: str):
@@ -135,13 +133,11 @@ def construct(cfg, kind, dim, group_spec, group_file, variant, latin_file, hadam
         if group_spec:
             params["group"] = group_spec
         built = basis_mod.build_shift_multiply(lam, fam, params=params)
-    ops = np.stack([built.operators[x] for x in built.labels]).reshape(len(built.labels), -1)
-    gram_dev = float(gram_deviation(ops, built.d).max())
     _emit(cfg, {
         "kind": kind,
         "d": built.d,
         "elements": len(built.labels),
-        "gram_check_max_deviation": gram_dev,
+        "gram_check_max_deviation": built.gram_max_deviation,
         "out": cfg.out or "(not written)",
     }, ser.basis_to_json(built))
 

@@ -1,8 +1,8 @@
-"""Finite groups, latin squares, complex Hadamard families, and the exact
-criss-cross / twill predicates that govern commutation in shift-and-multiply
-bases.
+"""Finite groups, latin squares, complex Hadamard families, and the per-triple
+twill predicates of a tag of a shift-and-multiply basis, whose commutation
+``basis._exact_adjacency`` decides for every pair at once.
 
-Predicates run in exact arithmetic whenever the Hadamard family carries
+The predicates run in exact arithmetic whenever the Hadamard family carries
 root-of-unity exponents (integers modulo a common order), and otherwise fall
 back to an entrywise comparison within the ``commutation`` tolerance.
 """
@@ -175,12 +175,6 @@ def latin_identities(lam: LatinSquare):
     return left, right
 
 
-def latin_crisscross(lam: LatinSquare, n: int, n2: int) -> bool:
-    """Exact test of lam(n, lam(n2, k)) = lam(n2, lam(n, k)) for all k."""
-    t = lam.table
-    return bool(np.array_equal(t[n, t[n2]], t[n2, t[n]]))
-
-
 def _require_inverse_pair(lam: LatinSquare, mu: LatinSquare) -> None:
     if mu.size != lam.size or not np.array_equal(mu.table, np.argsort(lam.table, axis=1)):
         raise ValueError("mu is not the inverse square of lam")
@@ -273,26 +267,6 @@ def is_partial_hadamard(h) -> bool:
     if np.abs(np.abs(m) - 1.0).max() > tols().unimodular:
         return False
     return bool(gram_deviation(m, d).max() <= tols().orthogonality)
-
-
-def hadamard_crisscross(family: HadamardFamily, lam: LatinSquare, mn, m2n2) -> bool:
-    """Commutation predicate on index pairs of an untagged shift-and-multiply basis.
-
-    Tests H^n_{m, lam(n2,k)} H^n2_{m2,k} = H^n2_{m2, lam(n,k)} H^n_{m,k} for
-    all k; exact over exponents when available.  Symmetric in the two pairs.
-    """
-    m, n = mn
-    m2, n2 = m2n2
-    t = lam.table
-    if family.exact:
-        e, order = family.exponents, family.root_order
-        lhs = e[n][m, t[n2]] + e[n2][m2]
-        rhs = e[n2][m2, t[n]] + e[n][m]
-        return bool(np.all((lhs - rhs) % order == 0))
-    h = family.matrices
-    lhs = h[n][m, t[n2]] * h[n2][m2]
-    rhs = h[n2][m2, t[n]] * h[n][m]
-    return bool(np.abs(lhs - rhs).max() <= tols().commutation)
 
 
 def hadamard_twill(

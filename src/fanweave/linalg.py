@@ -100,27 +100,23 @@ def _cycle_angles(form: MonomialForm) -> np.ndarray:
     return ((np.angle(product) + _TWO_PI * position) / length) % _TWO_PI
 
 
-def unit_spectrum_angles(a, labels=None):
-    """Sorted rounded angles of the eigenvalues of a (unitary) matrix.
+def unit_spectrum_angles(members, labels=None) -> list[tuple[float, ...]]:
+    """Sorted rounded eigenvalue angles of each member of a stack of unitaries, one tuple per member.
 
-    A stack of shape ``(k, d, d)`` gives the list of its k members' angle tuples, from one
-    batched ``eigvals`` call; a :class:`MonomialForm` gives it from permutation cycles.  An angle
-    within ``_ANGLE_MARGIN`` of a rounding boundary raises InvariantError naming the member
-    (its entry in ``labels``, else its index).
+    ``members`` is a stack of shape ``(k, d, d)``, read from one batched ``eigvals`` call, or a
+    :class:`MonomialForm`, read from permutation cycles; a single matrix is passed as ``m[None]``.
+    An angle within ``_ANGLE_MARGIN`` of a rounding boundary raises InvariantError naming the
+    member (its entry in ``labels``, else its index).
     """
-    stacked = isinstance(a, MonomialForm)
-    if stacked:
-        theta = _cycle_angles(a)
+    if isinstance(members, MonomialForm):
+        theta = _cycle_angles(members)
     else:
-        m = np.asarray(a, dtype=complex)
-        stacked = m.ndim == 3
-        if not stacked:
-            m = as_square_matrix(m)
-        elif m.shape[1] != m.shape[2]:
+        m = np.asarray(members, dtype=complex)
+        if m.ndim != 3 or m.shape[1] != m.shape[2]:
             raise ValueError(f"matrix stack must have shape (k, d, d), got {m.shape}")
-        elif not np.isfinite(m).all():
+        if not np.isfinite(m).all():
             raise ValueError("matrix stack contains non-finite entries")
-        theta = (np.angle(np.linalg.eigvals(m)) % _TWO_PI).reshape(-1, m.shape[-1])
+        theta = np.angle(np.linalg.eigvals(m)) % _TWO_PI
     margin = np.abs(theta * 10.0**ANGLE_DECIMALS % 1.0 - 0.5) / 10.0**ANGLE_DECIMALS
     i, k = np.unravel_index(np.argmin(margin), margin.shape)
     if margin[i, k] < _ANGLE_MARGIN:
@@ -128,8 +124,7 @@ def unit_spectrum_angles(a, labels=None):
             f"spectrum of member {i if labels is None else labels[i]}: eigenvalue angle {theta[i, k]!r} "
             f"lies {margin[i, k]:.1e} rad from a rounding boundary at {ANGLE_DECIMALS} decimals"
         )
-    angles = [tuple(row) for row in np.sort(_round_angles(theta), axis=1).tolist()]
-    return angles if stacked else angles[0]
+    return [tuple(row) for row in np.sort(_round_angles(theta), axis=1).tolist()]
 
 
 def _round_angles(theta: np.ndarray) -> np.ndarray:
@@ -176,13 +171,6 @@ def _square_family(family) -> tuple[list[np.ndarray], int]:
     if any(m.shape[0] != d for m in mats):
         raise ValueError("family members have mismatched dimensions")
     return mats, d
-
-
-def hs_orthogonality_check(family) -> bool:
-    """Check ``tr(U_x* U_y) = d delta_xy`` for every pair of the family."""
-    mats, d = _square_family(family)
-    v = np.stack(mats).reshape(len(mats), d * d)
-    return bool(gram_deviation(v, d).max() <= tols().orthogonality)
 
 
 _BLOCK_BYTES = 32 * 2**20

@@ -4,6 +4,7 @@ import numpy as np
 
 import fanweave as fw
 from fanweave.basis import parse_pair
+from fanweave.config import tols
 
 
 def random_density(d: int, rng) -> np.ndarray:
@@ -111,6 +112,32 @@ def brute_force_cover(fan: fw.Fan) -> tuple[int, ...]:
     raise AssertionError("fan does not cover its universe")
 
 
+def latin_crisscross(lam: fw.LatinSquare, n: int, n2: int) -> bool:
+    """Exact test of lam(n, lam(n2, k)) = lam(n2, lam(n, k)) for all k."""
+    t = lam.table
+    return bool(np.array_equal(t[n, t[n2]], t[n2, t[n]]))
+
+
+def hadamard_crisscross(family: fw.HadamardFamily, lam: fw.LatinSquare, mn, m2n2) -> bool:
+    """Commutation predicate on index pairs of an untagged shift-and-multiply basis.
+
+    Tests H^n_{m, lam(n2,k)} H^n2_{m2,k} = H^n2_{m2, lam(n,k)} H^n_{m,k} for
+    all k; exact over exponents when available.  Symmetric in the two pairs.
+    """
+    m, n = mn
+    m2, n2 = m2n2
+    t = lam.table
+    if family.exact:
+        e, order = family.exponents, family.root_order
+        lhs = e[n][m, t[n2]] + e[n2][m2]
+        rhs = e[n2][m2, t[n]] + e[n][m]
+        return bool(np.all((lhs - rhs) % order == 0))
+    h = family.matrices
+    lhs = h[n][m, t[n2]] * h[n2][m2]
+    rhs = h[n2][m2, t[n]] * h[n][m]
+    return bool(np.abs(lhs - rhs).max() <= tols().commutation)
+
+
 def predicate_adjacency(basis: fw.UnitaryBasis, x0: str | None = None) -> np.ndarray:
     """Pair-by-pair oracle from the paper's predicates: criss-cross untagged, twill at the tag x0."""
     lam, fam = basis.provenance.latin, basis.provenance.hadamard
@@ -121,7 +148,7 @@ def predicate_adjacency(basis: fw.UnitaryBasis, x0: str | None = None) -> np.nda
     for i, p in enumerate(pairs):
         for j, q in enumerate(pairs[:i]):
             if t0 is None:
-                adj[i, j] = fw.latin_crisscross(lam, p[1], q[1]) and fw.hadamard_crisscross(fam, lam, p, q)
+                adj[i, j] = latin_crisscross(lam, p[1], q[1]) and hadamard_crisscross(fam, lam, p, q)
             else:
                 adj[i, j] = fw.latin_twill(lam, mu, p[1], t0[1], q[1]) and fw.hadamard_twill(fam, lam, mu, p, t0, q)
             adj[j, i] = adj[i, j]

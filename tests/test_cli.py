@@ -11,6 +11,7 @@ import fanweave as fw
 from fanweave import serialize as ser
 from fanweave import tomography as tomo
 from fanweave.cli import main
+from fanweave.linalg import gram_deviation
 
 from helpers import transformed_basis
 
@@ -37,6 +38,20 @@ class TestConstruct:
         obj = ser.read_json(str(out))
         assert len(obj["labels"]) == 36
         assert "gram_check_max_deviation" in result.output
+
+    @pytest.mark.parametrize("kind_args", [
+        ["--kind", "weyl", "--d", "5"],
+        ["--kind", "shift-multiply", "--group", "s3", "--variant", "f"],
+    ], ids=["weyl5", "s3-f"])
+    def test_reported_gram_deviation_is_the_basis_gram(self, runner, tmp_path, kind_args):
+        out = tmp_path / "basis.json"
+        result = invoke(runner, ["--format", "json", "--out", str(out), "construct", *kind_args])
+        assert result.exit_code == 0
+        basis = ser.basis_from_json(ser.read_json(str(out)))
+        n, d = len(basis.labels), basis.d
+        stack = np.stack([basis.operators[x] for x in basis.labels])
+        expected = float(gram_deviation(stack.reshape(n, d * d), d).max())
+        assert json.loads(result.output)["gram_check_max_deviation"] == expected
 
     def test_s3_shift_multiply(self, runner, tmp_path):
         out = tmp_path / "s3.json"

@@ -6,6 +6,8 @@ import pytest
 
 import fanweave as fw
 
+from helpers import hadamard_crisscross, latin_crisscross
+
 
 def z3f():
     return fw.latin_from_group(fw.group_cyclic(3), "f")
@@ -133,28 +135,28 @@ class TestLatinIdentities:
 class TestLatinCrisscross:
     def test_equal_indices_always(self):
         lam = fw.latin_from_group(fw.group_s3(), "f")
-        assert all(fw.latin_crisscross(lam, n, n) for n in range(6))
+        assert all(latin_crisscross(lam, n, n) for n in range(6))
 
     def test_z3_right_subtraction_fails_off_diagonal(self):
-        assert not fw.latin_crisscross(z3f(), 0, 1)
+        assert not latin_crisscross(z3f(), 0, 1)
 
     def test_left_division_abelian_always_true(self):
         lam = fw.latin_from_group(fw.group_cyclic(6), "g")
         assert all(
-            fw.latin_crisscross(lam, n, n2) for n in range(6) for n2 in range(6)
+            latin_crisscross(lam, n, n2) for n in range(6) for n2 in range(6)
         )
 
     def test_symmetry_exhaustive(self):
         for variant in ("e", "f", "g"):
             lam = fw.latin_from_group(fw.group_s3(), variant)
             for n, n2 in itertools.product(range(6), repeat=2):
-                assert fw.latin_crisscross(lam, n, n2) == fw.latin_crisscross(lam, n2, n)
+                assert latin_crisscross(lam, n, n2) == latin_crisscross(lam, n2, n)
 
     def test_odd_order_right_divisor_reduces_to_equality(self):
         for d in (3, 5):
             lam = fw.latin_from_group(fw.group_cyclic(d), "f")
             for n, n2 in itertools.product(range(d), repeat=2):
-                assert fw.latin_crisscross(lam, n, n2) == (n == n2)
+                assert latin_crisscross(lam, n, n2) == (n == n2)
 
     def test_right_divisor_doubling_rule_abelian(self):
         # for abelian G: criss-cross of the right-subtraction square iff n+n = n2+n2
@@ -167,7 +169,7 @@ class TestLatinCrisscross:
             lam = fw.latin_from_group(g, "f")
             for n, n2 in itertools.product(range(g.order), repeat=2):
                 expected = g.cayley[n][n] == g.cayley[n2][n2]
-                assert fw.latin_crisscross(lam, n, n2) == expected, (name, n, n2)
+                assert latin_crisscross(lam, n, n2) == expected, (name, n, n2)
 
     def test_right_divisor_closed_form_nonabelian(self):
         # cross-check against (n2 n^-1)^2 = e, n2 n = n n2, n2 n^-1 central
@@ -184,7 +186,7 @@ class TestLatinCrisscross:
                 and g.cayley[n2][n] == g.cayley[n][n2]
                 and ratio in center
             )
-            assert fw.latin_crisscross(lam, n, n2) == closed
+            assert latin_crisscross(lam, n, n2) == closed
 
 
 class TestHadamardCrisscross:
@@ -193,20 +195,20 @@ class TestHadamardCrisscross:
         fam = fw.fourier_family(4)
         for m, n, m2, n2 in itertools.product(range(4), repeat=4):
             expected = (m * n2 - m2 * n) % 4 == 0
-            assert fw.hadamard_crisscross(fam, lam, (m, n), (m2, n2)) == expected
-        assert fw.hadamard_crisscross(fam, lam, (1, 2), (2, 0))
+            assert hadamard_crisscross(fam, lam, (m, n), (m2, n2)) == expected
+        assert hadamard_crisscross(fam, lam, (1, 2), (2, 0))
 
     def test_reflexive(self):
         lam = z3f()
         fam = fw.fourier_family(3)
         for m, n in itertools.product(range(3), repeat=2):
-            assert fw.hadamard_crisscross(fam, lam, (m, n), (m, n))
+            assert hadamard_crisscross(fam, lam, (m, n), (m, n))
 
     def test_z3_right_subtraction_same_column_distinct_rows(self):
         lam = z3f()
         fam = fw.fourier_family(3)
         for m, m2 in itertools.product(range(3), repeat=2):
-            got = fw.hadamard_crisscross(fam, lam, (m, 1), (m2, 1))
+            got = hadamard_crisscross(fam, lam, (m, 1), (m2, 1))
             assert got == (m == m2)
 
     def test_symmetry_exhaustive_d_le_6(self):
@@ -215,7 +217,7 @@ class TestHadamardCrisscross:
             fam = fw.fourier_family(d)
             pairs = list(itertools.product(range(d), repeat=2))
             for a, b in itertools.combinations(pairs, 2):
-                assert fw.hadamard_crisscross(fam, lam, a, b) == fw.hadamard_crisscross(
+                assert hadamard_crisscross(fam, lam, a, b) == hadamard_crisscross(
                     fam, lam, b, a
                 )
 
@@ -227,7 +229,7 @@ class TestHadamardCrisscross:
             assert not floaty.exact
             pairs = list(itertools.product(range(d), repeat=2))
             for a, b in itertools.combinations(pairs, 2):
-                assert fw.hadamard_crisscross(exact, lam, a, b) == fw.hadamard_crisscross(
+                assert hadamard_crisscross(exact, lam, a, b) == hadamard_crisscross(
                     floaty, lam, a, b
                 )
 

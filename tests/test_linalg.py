@@ -16,7 +16,7 @@ class TestUnitSpectrumAngles:
         stack = np.stack(
             [near_one, weyl(3).operators["1,1"], weyl(3).operators["0,1"], fw.random_unitary(3, rng)]
         )
-        per_matrix = [fw.linalg.unit_spectrum_angles(m) for m in stack]
+        per_matrix = [fw.linalg.unit_spectrum_angles(m[None])[0] for m in stack]
         assert per_matrix[0][0] == 0.0
         assert fw.linalg.unit_spectrum_angles(stack) == per_matrix
         for m, angles in zip(stack, per_matrix):  # reference: round_unit_angle of each eigenvalue
@@ -83,26 +83,30 @@ class TestHsOrthogonality:
         x = np.array([[0, 1], [1, 0]], dtype=complex)
         y = np.array([[0, -1j], [1j, 0]])
         z = np.diag([1.0, -1.0]).astype(complex)
-        assert fw.hs_orthogonality_check([np.eye(2), x, y, z])
+        ops = {"I": np.eye(2), "X": x, "Y": y, "Z": z}
+        assert fw.unitary_basis(list(ops), ops, fw.Provenance(kind="test")).gram_max_deviation <= 1e-9
 
     def test_repeated_element_fails(self):
-        assert not fw.hs_orthogonality_check([np.eye(2), np.eye(2)])
+        ops = {"a": np.eye(2), "b": np.eye(2), "c": np.array([[0, 1], [1, 0]]), "d": np.diag([1.0, -1.0])}
+        with pytest.raises(InvariantError, match=r"orthogonality fails for pair \(a, b\)"):
+            fw.unitary_basis(list(ops), ops, fw.Provenance(kind="test"))
 
     def test_weyl3_all_pairs_against_direct_traces(self, weyl):
         basis = weyl(3)
         ops = [basis.operators[x] for x in basis.labels]
         # independent oracle: explicit double loop over all 81 pairs
-        ok = True
-        for i, a in enumerate(ops):
-            for j, b in enumerate(ops):
-                expected = 3.0 if i == j else 0.0
-                ok &= abs(np.trace(a.conj().T @ b) - expected) <= 1e-9
-        assert ok
-        assert fw.hs_orthogonality_check(ops)
+        worst = max(
+            abs(np.trace(a.conj().T @ b) - (3.0 if i == j else 0.0))
+            for i, a in enumerate(ops) for j, b in enumerate(ops)
+        )
+        assert worst <= 1e-9
+        # the loop sums each trace in another order, so the two agree to a few ulps of d
+        assert basis.gram_max_deviation == pytest.approx(worst, abs=1e-15)
 
     def test_dimension_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="mismatch"):
-            fw.hs_orthogonality_check([np.eye(2), np.eye(3)])
+        ops = {"a": np.eye(2), "b": np.eye(3), "c": np.eye(2), "d": np.eye(2)}
+        with pytest.raises(InvariantError, match="dimension 3, expected 2"):
+            fw.unitary_basis(list(ops), ops, fw.Provenance(kind="test"))
 
 
 class TestEigNormal:
