@@ -27,7 +27,7 @@ from .combinatorics import (
     is_partial_hadamard,
     latin_from_group,
 )
-from .config import tols
+from .config import DEFAULT_TOLS, tols
 from .errors import InvariantError
 from .linalg import (
     MonomialForm,
@@ -242,9 +242,9 @@ class CommutationGraph:
     mode: str
 
 
-def _numeric_adjacency(members) -> np.ndarray:
-    """Adjacency from ``||A_a A_b - A_b A_a||_F``: the upper triangle of :func:`commutator_norms`, mirrored."""
-    adj = np.triu(commutator_norms(members) <= tols().commutation, 1)
+def _numeric_adjacency(members, limit: float) -> np.ndarray:
+    """Adjacency where ``||A_a A_b - A_b A_a||_F <= limit`` (0 in the exact modes), from :func:`commutator_norms`."""
+    adj = np.triu(commutator_norms(members) <= limit, 1)
     adj |= adj.T
     np.fill_diagonal(adj, True)
     return adj
@@ -254,9 +254,10 @@ def _exact_adjacency(basis: UnitaryBasis, mode: str, x0: str | None) -> np.ndarr
     """Exact adjacency of shift-and-multiply members read as monomials ``|k> -> w^e[k] |p[k]>``.
 
     ``U_{m,n}`` has ``p = lam(n, .)``, ``e`` row m of the exponents of ``H^n`` and ``w = exp(2 pi i / N)``;
-    a tag composes in ``U_x0^-1``.  ``(s, a)`` and ``(t, b)`` commute iff ``s t = t s`` and
-    ``b + a[t] = a + b[s] (mod N)``.  Provenance whose monomials are not the basis's monomial form
-    within ``commutation`` (Frobenius distance per operator) is refused.
+    a tag composes in ``U_x0^-1``.  ``(s, a)`` and ``(t, b)`` commute iff ``s t = t s`` and ``b + a[t] = a + b[s]
+    (mod N)``, that is iff their :func:`commutator_norms` residual on the exponents is 0.  Provenance that is not
+    the basis's monomial form within the *default* ``commutation`` tolerance (Frobenius distance per operator)
+    is refused, whatever the overrides.
     """
     lam, fam = basis.provenance.latin, basis.provenance.hadamard
     if lam is None or fam is None:
@@ -266,35 +267,27 @@ def _exact_adjacency(basis: UnitaryBasis, mode: str, x0: str | None) -> np.ndarr
     if not fam.exact:
         raise ValueError(f"mode {mode!r} requires exact root-of-unity Hadamard exponents")
     d, order = basis.d, fam.root_order
-    pairs = {x: parse_pair(x) for x in basis.labels}
-    if lam.size != d or fam.d != d or not all(0 <= i < d for pair in pairs.values() for i in pair):
+    m, n = pairs = np.array([parse_pair(x) for x in basis.labels]).T
+    if lam.size != d or fam.d != d or pairs.min() < 0 or pairs.max() >= d:
         raise ValueError(f"mode {mode!r}: provenance of size {lam.size} does not index the labels of C^{d}")
     if basis.form is None:
         raise ValueError(f"mode {mode!r}: provenance does not match operators that are not all monomial")
-    m, n = np.array([pairs[x] for x in basis.labels]).T
     exps = fam.exponents[n, m] % order
     form = MonomialForm(lam.table[n], np.exp(2j * np.pi * exps / order), exps, order)
     diff = np.abs(form.phase - basis.form.phase) ** 2
     resid = np.sqrt(np.where(form.perm == basis.form.perm, diff, 2.0).sum(axis=1))
     worst = int(np.argmax(resid))
-    if resid[worst] > tols().commutation:
+    if resid[worst] > DEFAULT_TOLS.commutation:
         raise ValueError(
             f"mode {mode!r}: provenance does not match operator {basis.labels[worst]} "
             f"(Frobenius distance {resid[worst]:.3e})"
         )
-    if x0 is not None:
-        form = form.tag(basis.labels.index(x0))
-    perms, exps = form.perm, form.exponent
-    composed = perms[:, perms]  # composed[i, j] = perms[i] o perms[j]
-    phases = exps[None, :, :] + exps[:, perms]  # phases[i, j] = exps[j] + exps[i] o perms[j]
-    same_perm = (composed == composed.transpose(1, 0, 2)).all(axis=2)
-    same_phase = ((phases - phases.transpose(1, 0, 2)) % order == 0).all(axis=2)
-    return same_perm & same_phase
+    return _numeric_adjacency(form if x0 is None else form.tag(basis.labels.index(x0)), 0.0)
 
 
 def _commutation_graph(basis, labels, members, mode: str, exact_mode: str, x0=None) -> CommutationGraph:
     if mode == "numeric":
-        adj = _numeric_adjacency(members)
+        adj = _numeric_adjacency(members, tols().commutation)
     elif mode == exact_mode:
         adj = _exact_adjacency(basis, mode, x0)
     else:
@@ -565,7 +558,8 @@ def mes_basis_to_ub(vectors) -> UnitaryBasis:
     Each vector psi corresponds to the operator with entries
     ``sqrt(d) <e_j (x) e_k, psi>``; orthonormality of the vectors gives trace
     orthogonality of the operators, and maximal entanglement makes them
-    unitary.  Rejects non-MES input, naming the offending vector.
+    unitary.  Rejects non-MES input, naming the offending vector; non-orthonormal
+    vectors fail the operator Gram check of :func:`unitary_basis`, naming the pair.
     """
     vecs = [np.asarray(v, dtype=complex).reshape(-1) for v in vectors]
     if not vecs:
@@ -573,9 +567,6 @@ def mes_basis_to_ub(vectors) -> UnitaryBasis:
     d = bipartite_dim(vecs[0])
     if len(vecs) != d * d:
         raise ValueError(f"need {d * d} vectors for a basis of C^{d} (x) C^{d}, got {len(vecs)}")
-    dev = gram_deviation(np.stack(vecs), 1.0).max()
-    if dev > tols().orthogonality:
-        raise ValueError(f"vectors are not orthonormal: worst Gram deviation {dev:.3e}")
     ops = {}
     labels = []
     for i, psi in enumerate(vecs):

@@ -208,11 +208,10 @@ def mub(cfg, basis_file, tag_label):
     """Mutually unbiased bases from a fan that partitions the tag system."""
     tag, fan = basis_mod.tag_and_fan(_load_basis(basis_file), tag_label)
     system = tomo.mub_from_partition(tag, fan.masses, rng_seed=cfg.seed)
-    deviation = tomo.mub_unbiasedness_deviation(system.bases, system.d)
     _emit(cfg, {
         "d": system.d,
         "bases": len(system.bases),
-        "unbiasedness_deviation": deviation,
+        "unbiasedness_deviation": system.unbiasedness_deviation,
         "out": cfg.out or "(not written)",
     }, ser.mub_to_json(system))
 

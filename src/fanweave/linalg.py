@@ -179,7 +179,8 @@ _BLOCK_BYTES = 32 * 2**20
 def commutator_norms(members) -> np.ndarray:
     """``||A_a A_b - A_b A_a||_F`` for ``a < b``; zero on and below the diagonal.
 
-    A :class:`MonomialForm` is decided in O(d) per pair.  For a stack ``(n, d, d)``,
+    A :class:`MonomialForm` is decided in O(d) per pair; with exact exponents its residual is 0
+    exactly for a commuting pair and at least ``sqrt(2)`` otherwise.  For a stack ``(n, d, d)``,
     ``rows`` stacks the members vertically ((n d) x d) and ``cols`` side by side
     (d x (n d)), so the BLAS products ``rows[a] @ cols[b]`` and ``rows[b] @ cols[a]``
     hold ``A_a A_b`` and ``A_b A_a``.  One block of rows ``a`` is computed at a
@@ -207,8 +208,9 @@ def _monomial_commutator_norms(form: MonomialForm) -> np.ndarray:
     """O(d) per pair: column k of ``A_a A_b - A_b A_a`` is ``w1 e_{p_a p_b k} - w2 e_{p_b p_a k}``.
 
     It contributes ``|w1 - w2|^2`` when the two rows agree and 2 otherwise: the dense residual up to rounding.
+    Exact exponents are compared mod ``order`` instead, a mismatch counting 2, so a commuting pair gives 0.
     """
-    perm, phase = form.perm, form.phase
+    perm, phase, exponent = form.perm, form.phase, form.exponent
     n, d = perm.shape
     # Blocks of about 2^14 (a, b, k) entries keep the temporaries (about 2 MiB, far under _BLOCK_BYTES)
     # in cache: 3x faster than one block on a weyl12 tag.
@@ -218,8 +220,13 @@ def _monomial_commutator_norms(form: MonomialForm) -> np.ndarray:
         stop = min(start + block, n)
         a, b = np.arange(start, stop)[:, None, None], np.arange(start, n)[None, :, None]
         pa, pb = perm[start:stop, None], perm[start:][None]
-        diff = phase[a, pb] * phase[start:][None] - phase[b, pa] * phase[start:stop, None]
-        sq = np.where(perm[a, pb] == perm[b, pa], diff.real**2 + diff.imag**2, 2.0)
+        if exponent is None:
+            diff = phase[a, pb] * phase[start:][None] - phase[b, pa] * phase[start:stop, None]
+            same_row = diff.real**2 + diff.imag**2
+        else:
+            diff = exponent[a, pb] + exponent[start:][None] - exponent[b, pa] - exponent[start:stop, None]
+            same_row = 2.0 * (diff % form.order != 0)
+        sq = np.where(perm[a, pb] == perm[b, pa], same_row, 2.0)
         resid[start:stop, start:] = np.sqrt(sq.sum(axis=2))
     return np.triu(resid, 1)
 

@@ -59,6 +59,7 @@ class MubSystem:
     d: int
     bases: tuple[np.ndarray, ...]
     source: tuple[tuple[str, ...], ...]
+    unbiasedness_deviation: float  # max |d |<b, b'>|^2 - 1|, as the construction measured it
 
 
 def mub_unbiasedness_deviation(bases, d: int) -> float:
@@ -101,7 +102,7 @@ def mub_from_partition(tag: Tag, partition, rng_seed: int = 0) -> MubSystem:
             f"unbiasedness failure: max |d|<b,b'>|^2 - 1| = {dev:.3e} "
             "(a part may be mis-specified or non-commuting)"
         )
-    return MubSystem(d=d, bases=tuple(bases), source=tuple(parts))
+    return MubSystem(d=d, bases=tuple(bases), source=tuple(parts), unbiasedness_deviation=dev)
 
 
 # ---------------------------------------------------------------------------

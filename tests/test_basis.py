@@ -183,8 +183,9 @@ class TestCommutationGraph:
         with pytest.raises(ValueError, match="provenance"):
             fw.commutation_graph(fw.tag_at(pauli2, "I,I"), mode="exact-twill")
 
-    def test_exact_and_numeric_agree_all_fixtures(self, weyl, z3f_basis, s3_basis):
-        fixtures = [weyl(2), weyl(3), weyl(4), weyl(5), weyl(6), z3f_basis, s3_basis]
+    def test_exact_and_numeric_agree_all_fixtures(self, weyl, z3f_basis, s3_basis, s3xz2_basis):
+        assert 2**14 // (144 * 12) < 144  # the monomial pass splits the untagged weyl12 and s3 x z2 into row blocks
+        fixtures = [weyl(2), weyl(3), weyl(4), weyl(5), weyl(6), weyl(8), weyl(12), z3f_basis, s3_basis, s3xz2_basis]
         for basis in fixtures:
             numeric = fw.basis_commutation_graph(basis, mode="numeric")
             exact = fw.basis_commutation_graph(basis, mode="exact-crisscross")
@@ -265,6 +266,19 @@ class TestCommutationGraph:
             misfit = fw.unitary_basis(labels, dict(zip(labels, w3.operators.values())), prov)
             with pytest.raises(ValueError, match="exact-crisscross.*does not index the labels"):
                 fw.basis_commutation_graph(misfit, mode="exact-crisscross")
+
+    def test_forged_provenance_refused_under_loose_tolerance(self, weyl):
+        # the swapped operators lie 8**0.5 from their provenance monomials; the match ignores overrides
+        doc = ser.basis_to_json(weyl(4))
+        ops = doc["operators"]
+        ops["0,1"], ops["1,0"] = ops["1,0"], ops["0,1"]
+        forged = ser.basis_from_json(doc)
+        with fw.tolerances(commutation=3):
+            with pytest.raises(ValueError, match="exact-crisscross.*does not match operator"):
+                fw.basis_commutation_graph(forged, mode="exact-crisscross")
+            for x0 in ("0,0", "0,1", "2,3"):
+                with pytest.raises(ValueError, match="exact-twill.*does not match operator"):
+                    fw.commutation_graph(fw.tag_at(forged, x0), mode="exact-twill")
 
 
 @pytest.fixture(scope="module")
@@ -722,6 +736,12 @@ class TestMesBases:
                   np.array([[0, -1j], [1j, 0]])]
         for op in recovered.operators.values():
             assert any(abs(abs(np.trace(p.conj().T @ op)) - 2) <= 1e-9 for p in paulis)
+
+    def test_repeated_bell_vector_refused_naming_the_pair(self):
+        s = 1 / np.sqrt(2)
+        bells = [np.array([s, 0, 0, s])] * 2 + [np.array([0, s, s, 0]), np.array([0, s, -s, 0])]
+        with pytest.raises(ValueError, match=r"trace orthogonality fails for pair \(0, 1\)"):
+            fw.mes_basis_to_ub(bells)
 
     def test_product_vector_rejected(self):
         vecs = [np.zeros(4) for _ in range(4)]

@@ -154,6 +154,16 @@ class TestFans:
         assert result.exit_code == 0
         assert "mass_count: 7" in result.output
 
+    @pytest.mark.parametrize("scope, mode", [(["--untagged"], "exact-crisscross"), (["--tag", "0,0"], "exact-twill")])
+    def test_forged_provenance_refused_under_loose_tol(self, runner, tmp_path, weyl, scope, mode):
+        doc = ser.basis_to_json(weyl(4))
+        doc["operators"]["0,1"], doc["operators"]["1,0"] = doc["operators"]["1,0"], doc["operators"]["0,1"]
+        path = tmp_path / "forged.json"
+        ser.write_json(str(path), doc)
+        result = runner.invoke(main, ["--tol", "commutation=3", "fans", str(path), *scope, "--mode", mode])
+        assert result.exit_code == 2
+        assert result.output.startswith(f"error: mode '{mode}': provenance does not match operator")
+
     def test_fan_artifact_byte_identical(self, runner, tmp_path, weyl):
         path = tmp_path / "weyl4.json"
         write_basis(path, weyl(4))

@@ -74,6 +74,14 @@ class TestMubFromPartition:
         assert len(system.bases) == 5
         assert fw.tomography.mub_unbiasedness_deviation(system.bases, 4) <= 1e-9
 
+    @pytest.mark.parametrize("d", [3, 5, 7])
+    def test_records_the_deviation_it_measured(self, weyl, d):
+        tag, fan = tag_and_fan(weyl(d), "0,0")
+        system = fw.mub_from_partition(tag, fan.masses)
+        fresh = fw.tomography.mub_unbiasedness_deviation(system.bases, d)
+        assert type(system.unbiasedness_deviation) is float
+        assert system.unbiasedness_deviation.hex() == fresh.hex()
+
     def test_rejects_non_partition(self, weyl):
         tag, fan = tag_and_fan(weyl(4), "0,0")
         with pytest.raises(ValueError, match="disjoint|partition"):
