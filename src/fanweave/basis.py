@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -30,6 +31,7 @@ from .combinatorics import (
 from .config import DEFAULT_TOLS, tols
 from .errors import InvariantError
 from .linalg import (
+    _BLOCK_BYTES,
     MonomialForm,
     as_square_matrix,
     bipartite_dim,
@@ -99,6 +101,7 @@ class UnitaryBasis:
     operators: dict[str, np.ndarray]
     provenance: Provenance
     gram_max_deviation: float  # worst |tr(U_x* U_y) - d delta_xy| over all pairs, as the basis check measured it
+    unitarity_max_residual: float  # worst ||U*U - I||_F over the members, as the basis check measured it
     form: MonomialForm | None = None  # rows in label order; None when some operator is not monomial
 
 
@@ -127,16 +130,18 @@ def unitary_basis(labels, operators: dict[str, np.ndarray], provenance: Provenan
     if len(labels) != d * d:
         raise InvariantError(f"a unitary basis on C^{d} needs {d * d} members, got {len(labels)}")
     eye = np.eye(d)
+    unitarity = 0.0
     for x in labels:
         if ops[x].shape[0] != d:
             raise InvariantError(f"operator {x} has dimension {ops[x].shape[0]}, expected {d}")
         resid = np.linalg.norm(ops[x].conj().T @ ops[x] - eye)
         if resid > tols().unitarity:
             raise InvariantError(f"operator {x} is not unitary: ||U*U - I||_F = {resid:.3e}")
+        unitarity = max(unitarity, float(resid))
     stack = np.stack([ops[x] for x in labels])
     gram = _check_hs_family(labels, stack, d, "unitary basis")
     return UnitaryBasis(d=d, labels=labels, operators=ops, provenance=provenance, gram_max_deviation=gram,
-                        form=monomial_form(stack))
+                        unitarity_max_residual=unitarity, form=monomial_form(stack))
 
 
 def build_shift_multiply(
@@ -240,24 +245,49 @@ class CommutationGraph:
     vertices: tuple[str, ...]
     adjacency: np.ndarray  # bool, symmetric, True on the diagonal
     mode: str
+    # The commutation gap, as the graph's residuals measured it (nan for a graph not built from residuals):
+    max_edge_residual: float = math.nan  # largest residual of an edge, 0 when no two vertices are adjacent
+    min_non_edge_residual: float = math.nan  # smallest residual of a non-edge, inf when every pair is adjacent
 
 
-def _numeric_adjacency(members, limit: float) -> np.ndarray:
-    """Adjacency where ``||A_a A_b - A_b A_a||_F <= limit`` (0 in the exact modes), from :func:`commutator_norms`."""
-    adj = np.triu(commutator_norms(members) <= limit, 1)
+# A numeric residual this close to the commutation tolerance is refused: rounding could put it on either side.
+# Computed residuals of commuting unitaries are at most about 1e-14 for d <= 20, and non-commuting pairs of the
+# constructed bases have residuals of at least 1.4, so no decision at the default tolerance comes near it.
+_COMMUTATION_MARGIN = 1e-12
+
+
+def _numeric_adjacency(labels, members, limit: float) -> tuple[np.ndarray, float, float]:
+    """Adjacency where ``||A_a A_b - A_b A_a||_F <= limit`` (0 in the exact modes), from :func:`commutator_norms`,
+    with the largest edge and the smallest non-edge residual.
+
+    A positive limit is a tolerance: a residual within ``_COMMUTATION_MARGIN`` of it raises InvariantError
+    naming the pair.  The exact modes decide at 0 on residuals that are 0 or at least ``sqrt(2)`` exactly.
+    """
+    resid = commutator_norms(members)
+    upper = np.triu(np.ones(resid.shape, dtype=bool), 1)
+    if limit > 0:
+        near = np.argwhere(upper & (np.abs(resid - limit) < _COMMUTATION_MARGIN))
+        if len(near):
+            a, b = near[0]
+            raise InvariantError(
+                f"pair ({labels[a]}, {labels[b]}): commutation residual {resid[a, b]!r} lies within "
+                f"{_COMMUTATION_MARGIN:.0e} of the commutation tolerance {limit!r}"
+            )
+    adj = upper & (resid <= limit)
+    gap = float(resid[adj].max(initial=0.0)), float(resid[upper & ~adj].min(initial=math.inf))
     adj |= adj.T
     np.fill_diagonal(adj, True)
-    return adj
+    return adj, *gap
 
 
-def _exact_adjacency(basis: UnitaryBasis, mode: str, x0: str | None) -> np.ndarray:
-    """Exact adjacency of shift-and-multiply members read as monomials ``|k> -> w^e[k] |p[k]>``.
+def _provenance_form(basis: UnitaryBasis, mode: str) -> MonomialForm:
+    """The untagged basis as exact monomials ``|k> -> w^e[k] |p[k]>``, read from its shift-and-multiply provenance.
 
     ``U_{m,n}`` has ``p = lam(n, .)``, ``e`` row m of the exponents of ``H^n`` and ``w = exp(2 pi i / N)``;
-    a tag composes in ``U_x0^-1``.  ``(s, a)`` and ``(t, b)`` commute iff ``s t = t s`` and ``b + a[t] = a + b[s]
-    (mod N)``, that is iff their :func:`commutator_norms` residual on the exponents is 0.  Provenance that is not
-    the basis's monomial form within the *default* ``commutation`` tolerance (Frobenius distance per operator)
-    is refused, whatever the overrides.
+    a tag composes in ``U_x0^-1`` (:meth:`MonomialForm.tag`).  ``(s, a)`` and ``(t, b)`` commute iff
+    ``s t = t s`` and ``b + a[t] = a + b[s] (mod N)``, that is iff their :func:`commutator_norms` residual on the
+    exponents is 0.  Provenance that is not the basis's monomial form within the *default* ``commutation``
+    tolerance (Frobenius distance per operator) is refused, whatever the overrides.
     """
     lam, fam = basis.provenance.latin, basis.provenance.hadamard
     if lam is None or fam is None:
@@ -282,18 +312,20 @@ def _exact_adjacency(basis: UnitaryBasis, mode: str, x0: str | None) -> np.ndarr
             f"mode {mode!r}: provenance does not match operator {basis.labels[worst]} "
             f"(Frobenius distance {resid[worst]:.3e})"
         )
-    return _numeric_adjacency(form if x0 is None else form.tag(basis.labels.index(x0)), 0.0)
+    return form
 
 
 def _commutation_graph(basis, labels, members, mode: str, exact_mode: str, x0=None) -> CommutationGraph:
     if mode == "numeric":
-        adj = _numeric_adjacency(members, tols().commutation)
+        limit = tols().commutation
     elif mode == exact_mode:
-        adj = _exact_adjacency(basis, mode, x0)
+        form = _provenance_form(basis, mode)
+        members, limit = (form if x0 is None else form.tag(basis.labels.index(x0))), 0.0
     else:
         scope = "an untagged basis" if x0 is None else "a tag"
         raise ValueError(f"unsupported mode {mode!r} for {scope} graph")
-    return CommutationGraph(vertices=labels, adjacency=adj, mode=mode)
+    adj, max_edge, min_non_edge = _numeric_adjacency(labels, members, limit)
+    return CommutationGraph(labels, adj, mode, max_edge, min_non_edge)
 
 
 def basis_commutation_graph(basis: UnitaryBasis, mode: str = "numeric") -> CommutationGraph:
@@ -397,9 +429,153 @@ def fan_representation(basis: UnitaryBasis, x0: str | None = None, mode: str = "
     return tag_and_fan(basis, x0, mode)[1]
 
 
+# ---------------------------------------------------------------------------
+# tag orbits
+
+# Row keys quantise phase ratios on this grid.  A key only picks a candidate row; the match check decides.
+_KEY_SCALE = 2.0**20
+# A monomial member matches its candidate when the ratio of their phases is constant within this, entry by entry.
+_PHASE_RATIO_MATCH = 1e-12
+
+
+@dataclass(frozen=True, eq=False)
+class _Representative:
+    """A tag computed directly: its members as matched, its graph and its fan."""
+
+    members: MonomialForm | np.ndarray  # the exact-exponent form, the tag's form or its dense stack
+    rows: dict[bytes, int] | None  # row key -> row, for a form
+    graph: CommutationGraph
+    fan: Fan
+
+
+def _row_keys(form: MonomialForm) -> list[bytes]:
+    """Per member: its permutation, then its phases divided by the first, exactly as exponents or else quantised.
+
+    No ``np.angle``: its wrap at +-pi would put two copies of one member under different keys.
+    """
+    if form.exponent is not None:
+        rel = (form.exponent - form.exponent[:, :1]) % form.order
+    else:
+        ratio = form.phase / form.phase[:, :1]
+        rel = np.round(np.concatenate([ratio.real, ratio.imag], axis=1) * _KEY_SCALE)
+    return [row.tobytes() for row in np.concatenate([form.perm, rel], axis=1).astype(np.int64)]
+
+
+def _match(members, keys, rep: _Representative) -> tuple[np.ndarray, float] | None:
+    """``(sigma, eps)`` when each tag member ``W_i`` is a unit multiple ``c_i R_sigma(i)`` of a distinct member of
+    the representative, up to ``eps = max_i ||W_i - c_i R_sigma(i)||_F``; else None.
+
+    Forms take candidates from their row keys, which hold the permutation exactly.  Exact exponents match when
+    the keys do, with ``eps = 0``: the exponent difference is then constant per row mod ``order``.  Other forms
+    also need the phase ratio constant per row within ``_PHASE_RATIO_MATCH``.  A dense stack takes candidates
+    from the cross-Gram ``|tr(R_j* W_i)|``, first for ``W_0`` alone: a unit multiple within ``eps`` has
+    ``|tr(R* W)| = d - eps^2 / 2``, and below ``d / 2`` (``eps > sqrt(d)``) no tolerance that tells commuting
+    unitaries from others lets it transfer.  Then ``eps`` is computed from the differences, never as
+    ``sqrt(2 (d - |tr|))``, which cancels to about 1e-7.  A wrong candidate costs time, never a wrong fan.
+    """
+    if keys is not None:
+        if keys[0] not in rep.rows:
+            return None
+        sigma = np.array([rep.rows.get(key, -1) for key in keys])
+        if (sigma < 0).any() or len(np.unique(sigma)) != len(sigma):
+            return None
+        if members.exponent is not None:
+            return sigma, 0.0
+        ratio = members.phase / rep.members.phase[sigma]
+        if np.abs(ratio - ratio[:, :1]).max() > _PHASE_RATIO_MATCH:
+            return None
+        diff = members.phase - ratio[:, :1] / np.abs(ratio[:, :1]) * rep.members.phase[sigma]
+    else:
+        n, d = len(members), members.shape[1]
+        flat = rep.members.reshape(n, d * d).conj()
+        if np.abs(flat @ members[0].reshape(-1)).max() < d / 2:
+            return None
+        gram = flat @ members.reshape(n, d * d).T  # gram[j, i] = tr(R_j* W_i)
+        sigma = np.abs(gram).argmax(axis=0)
+        if len(np.unique(sigma)) != n:
+            return None
+        diff = members - np.exp(1j * np.angle(gram[sigma, np.arange(n)]))[:, None, None] * rep.members[sigma]
+    sq = (diff.real**2 + diff.imag**2).reshape(len(sigma), -1).sum(axis=1)
+    return sigma, float(np.sqrt(sq.max()))
+
+
+def _transfer_is_exact(graph: CommutationGraph, eps: float, delta: float) -> bool:
+    """Whether a tag matched to ``graph``'s tag within ``eps`` has ``graph``'s adjacency, after relabelling.
+
+    Write ``W_i = c_i R_a + E_i`` and ``W_j = c_j R_b + E_j`` with ``|c| = 1`` and ``||E||_F <= eps``.  Then
+
+        [W_i, W_j] - c_i c_j [R_a, R_b] = c_i [R_a, E_j] + c_j [E_i, R_b] + [E_i, E_j],
+
+    and ``||[A, E]||_F <= 2 ||A||_op ||E||_F``, so the two residuals differ by at most
+    ``4 eps (1 + delta) + 2 eps^2``, where ``||R||_op <= 1 + delta``.  For ``R = U_x0* U_x``, and for a monomial
+    form, whose phases are entries of such products, ``delta`` = the basis's worst ``||U*U - I||_F`` will do:
+    ``||U||_op^2 <= 1 + ||U*U - I||_F``.  The transfer is exact when every residual of ``graph`` lies farther
+    than that bound plus ``2 _COMMUTATION_MARGIN`` from the tolerance: one margin for the tag's own threshold
+    guard, one for the rounding of both computed residuals, far below it.  The exact modes match integer
+    exponents, so their transfer needs no bound.
+    """
+    if graph.mode != "numeric":
+        return True
+    limit = tols().commutation
+    room = 4 * eps * (1 + delta) + 2 * eps**2 + 2 * _COMMUTATION_MARGIN
+    return graph.max_edge_residual < limit - room and graph.min_non_edge_residual > limit + room
+
+
+def _relabelled_fan(rep: _Representative, sigma: np.ndarray, tag: Tag) -> Fan:
+    """The representative's fan with its member ``sigma(i)`` renamed to the tag's i-th label, in canonical order."""
+    order = sorted(tag.labels, key=label_sort_key)
+    rank = {y: k for k, y in enumerate(order)}
+    at = {rep.graph.vertices[j]: rank[y] for j, y in zip(sigma.tolist(), tag.labels)}
+    masses = sorted(tuple(sorted(at[x] for x in mass)) for mass in rep.fan.masses)
+    return Fan(universe=tag.labels, masses=tuple(tuple(order[k] for k in mass) for mass in masses))
+
+
+def _tag_fans(basis: UnitaryBasis, mode: str):
+    """``(tag, fan)`` for every tag in label order, with one graph and one MASS enumeration per orbit of tags.
+
+    In a nice error basis ``U_x0* U_x = c U_sigma(x)`` for a unit scalar c (Knill, arXiv:quant-ph/9608048;
+    Klappenecker and Roetteler, IEEE Trans. Inf. Theory 48 (2002) 2392), so every tag is a relabelled, rephased
+    copy of one tag.  ``||[c A, c' B]||_F = ||[A, B]||_F`` for unit scalars, so the graph and the fan carry over
+    through sigma.  Each tag still runs :func:`tag_at`.  It is matched against the tags computed so far in this
+    call (:func:`_match`; in ``exact-twill`` on the exponent form read once from the provenance), and takes the
+    first representative's fan whose transfer is exact (:func:`_transfer_is_exact`).  Any other tag is
+    computed directly and becomes a representative, until the kept members would fill ``_BLOCK_BYTES`` as
+    dense stacks: a basis whose tags share no orbit then keeps neither d^2 stacks nor d^2 candidates per tag.
+    Representatives live for one call.
+    """
+    reps: list[_Representative] = []
+    exact = None
+    for i0, x0 in enumerate(basis.labels):
+        tag = tag_at(basis, x0)
+        if mode == "exact-twill":
+            if exact is None:
+                exact = _provenance_form(basis, mode)  # refuses what the first graph would refuse
+            members = exact.tag(i0)
+        else:
+            members = tag_members(tag, tag.labels)
+        keys = _row_keys(members) if isinstance(members, MonomialForm) else None
+        for rep in reps:
+            match = _match(members, keys, rep)
+            if match is not None and _transfer_is_exact(rep.graph, match[1], basis.unitarity_max_residual):
+                fan = _relabelled_fan(rep, match[0], tag)
+                break
+        else:
+            graph = commutation_graph(tag, mode)
+            fan = enumerate_mass(graph)
+            n, d = len(tag.labels), basis.d
+            if len(reps) * 16 * n * d * d < _BLOCK_BYTES:
+                rows = None if keys is None else dict(zip(keys, range(n)))
+                reps.append(_Representative(members, rows, graph, fan))
+        yield tag, fan
+
+
 def fan_system(basis: UnitaryBasis, mode: str = "numeric") -> dict[str, Fan]:
-    """Fan of every tag of the basis, keyed by tag label."""
-    return {x0: fan_representation(basis, x0, mode=mode) for x0 in basis.labels}
+    """Fan of every tag of the basis, keyed by tag label: one graph and one MASS enumeration per orbit of tags.
+
+    The fans, and the bytes of their artifacts, are those of :func:`fan_representation` at each tag; see
+    :func:`_tag_fans` for why a fan carries over within an orbit.
+    """
+    return {tag.x0: fan for tag, fan in _tag_fans(basis, mode)}
 
 
 def membership_degrees(fan: Fan) -> dict[str, int]:
@@ -526,8 +702,14 @@ def fan_invariant(tag: Tag, fan: Fan, variant: str = "cue") -> FanInvariant:
 
 
 def invariant_profile(basis: UnitaryBasis, variant: str = "cue") -> tuple[FanInvariant, ...]:
-    """Sorted multiset of fan invariants over every tag of the basis."""
-    return tuple(sorted(fan_invariant(*tag_and_fan(basis, x0), variant) for x0 in basis.labels))
+    """Sorted multiset of fan invariants over every tag of the basis.
+
+    The fans come from :func:`_tag_fans`, one graph and one MASS enumeration per orbit of tags.  The spectra
+    stay per tag in both variants: a tag member ``c R`` has the spectrum of R rotated by ``arg c``, so the
+    ``cue`` data differ within an orbit (pauli2 has one orbit and two ``cue`` invariants), and the ``pcue``
+    data are built from rounded angles, which a rotation can move by one rounding step.
+    """
+    return tuple(sorted(fan_invariant(tag, fan, variant) for tag, fan in _tag_fans(basis, "numeric")))
 
 
 def compare_ub(a: UnitaryBasis, b: UnitaryBasis, variant: str = "cue") -> str:

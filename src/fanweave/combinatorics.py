@@ -1,7 +1,8 @@
 """Finite groups, latin squares, complex Hadamard families, and the per-triple
-twill predicates of a tag of a shift-and-multiply basis.  ``basis._exact_adjacency``
-decides the same commutation for every pair at once, in the row-blocked monomial
-pass of ``linalg.commutator_norms`` on the exact exponents.
+twill predicates of a tag of a shift-and-multiply basis.  The exact graph modes
+decide the same commutation for every pair at once, in the row-blocked monomial
+pass of ``linalg.commutator_norms`` on the exponents that ``basis._provenance_form``
+reads.
 
 The predicates run in exact arithmetic whenever the Hadamard family carries
 root-of-unity exponents (integers modulo a common order), and otherwise fall

@@ -76,6 +76,23 @@ def frozenset_masses(vertices, adjacency) -> tuple[tuple[str, ...], ...]:
     ))
 
 
+def per_tag_fans(basis: fw.UnitaryBasis, mode: str = "numeric") -> dict:
+    """Per-tag oracle of the orbit path: ``tag_at``, ``commutation_graph`` and ``enumerate_mass`` at every tag.
+
+    Maps each tag label to ``(tag, fan)``.  No tag's graph or fan comes from another tag.
+    """
+    fans = {}
+    for x0 in basis.labels:
+        tag = fw.tag_at(basis, x0)
+        fans[x0] = tag, fw.enumerate_mass(fw.commutation_graph(tag, mode=mode))
+    return fans
+
+
+def per_tag_profile(tag_fans: dict, variant: str) -> tuple:
+    """The invariant profile of :func:`per_tag_fans` output, as ``invariant_profile`` must give it."""
+    return tuple(sorted(fw.fan_invariant(tag, fan, variant) for tag, fan in tag_fans.values()))
+
+
 def brute_force_cover(fan: fw.Fan) -> tuple[int, ...]:
     """Cover oracle without reductions: iterative-deepening lexicographic search over all MASSes.
 

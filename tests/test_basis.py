@@ -13,7 +13,14 @@ from fanweave.combinatorics import LATIN_VARIANTS
 from fanweave.errors import InvariantError
 from fanweave.linalg import _BLOCK_BYTES, gram_deviation
 
-from helpers import brute_force_cliques, frozenset_masses, predicate_adjacency, transformed_basis
+from helpers import (
+    brute_force_cliques,
+    frozenset_masses,
+    per_tag_fans,
+    per_tag_profile,
+    predicate_adjacency,
+    transformed_basis,
+)
 
 
 def labelset(pairs):
@@ -250,6 +257,31 @@ class TestCommutationGraph:
         assert run.returncode == 0, run.stderr
         peak_mib = int(run.stdout) / 1024  # ru_maxrss is in KiB on Linux
         assert peak_mib < 250, peak_mib
+
+    def test_residual_within_margin_of_tolerance_refused(self, weyl):
+        tag = fw.tag_at(weyl(3), "0,0")
+        resid = fw.linalg.commutator_norms(tag.form)
+        a, b = np.argwhere(resid > 1)[0]  # the first non-commuting pair: |1 - w| sqrt(3) = 3
+        r, margin = resid[a, b], fw.basis._COMMUTATION_MARGIN
+        for offset in (-0.5 * margin, 0.5 * margin):
+            with fw.tolerances(commutation=r + offset):
+                named = rf"pair \({tag.labels[a]}, {tag.labels[b]}\): .* within 1e-12"
+                with pytest.raises(InvariantError, match=named):
+                    fw.commutation_graph(tag)
+        for offset in (-2 * margin, 2 * margin):
+            with fw.tolerances(commutation=r + offset):
+                assert fw.commutation_graph(tag).adjacency[a, b] == (offset > 0)
+
+    def test_graphs_record_their_commutation_gap(self, weyl):
+        tag = fw.tag_at(weyl(4), "0,0")
+        numeric = fw.commutation_graph(tag)
+        assert numeric.max_edge_residual <= 1e-14
+        assert numeric.min_non_edge_residual == pytest.approx(8**0.5, abs=1e-12)  # |1 - i| * 2
+        exact = fw.commutation_graph(tag, mode="exact-twill")
+        assert (exact.max_edge_residual, exact.min_non_edge_residual) == (0.0, 8**0.5)  # 2 per column
+        with fw.tolerances(commutation=10):
+            assert fw.commutation_graph(tag).min_non_edge_residual == np.inf
+        assert np.isnan(fw.CommutationGraph(("a",), np.ones((1, 1), dtype=bool), "numeric").max_edge_residual)
 
     def test_forged_provenance_refused(self, weyl):
         doc = ser.basis_to_json(weyl(4))
@@ -540,6 +572,172 @@ class TestFanSystem:
         for x0, fan in fw.fan_system(basis).items():
             covered = set(itertools.chain.from_iterable(fan.masses))
             assert covered == set(basis.labels) - {x0}
+
+
+@pytest.fixture(scope="module")
+def orbit_bases(monomial_bases, weyl, s3xz2_basis, pauli2):
+    """Weyl 2..12, z3f, the six S3 variants, z2 x z2, z2^3, s3 x z2 and pauli2: where the orbit path is checked."""
+    z2 = fw.group_cyclic(2)
+    z2cubed = fw.group_product(fw.group_product(z2, z2), z2)
+    return {
+        **monomial_bases,
+        **{f"weyl{d}": weyl(d) for d in range(9, 13)},
+        "z2xz2xz2": fw.build_shift_multiply(fw.latin_from_group(z2cubed, "e"), fw.fourier_family(8)),
+        "s3xz2": s3xz2_basis,
+        "pauli2": pauli2,
+    }
+
+
+@pytest.fixture(scope="module")
+def oracle_fans(orbit_bases):
+    return {name: per_tag_fans(basis) for name, basis in orbit_bases.items()}
+
+
+@pytest.fixture(scope="module")
+def oracle_profiles(oracle_fans):
+    return {name: {variant: per_tag_profile(oracle_fans[name], variant) for variant in fw.basis.INVARIANT_VARIANTS}
+            for name in PROFILED}
+
+
+@pytest.fixture()
+def graph_builds(monkeypatch):
+    """Tags whose graph the library builds; the oracle's ``fw.commutation_graph`` is not counted."""
+    built = []
+    build = fw.basis.commutation_graph
+
+    def counted(tag, mode="numeric"):
+        built.append(tag.x0)
+        return build(tag, mode)
+
+    monkeypatch.setattr(fw.basis, "commutation_graph", counted)
+    return built
+
+
+def artifact(fans) -> str:
+    """The text of a ``fans --all-tags`` artifact."""
+    return ser.dumps({"fans": {x0: ser.fan_to_json(fan) for x0, fan in fans.items()}})
+
+
+def matched(tag, rep):
+    return fw.basis._match(fw.basis.tag_members(tag, tag.labels), None, rep)
+
+
+# graphs built by fan_system, one per orbit of tags
+ORBITS = {
+    **{f"weyl{d}": 1 for d in range(2, 13)},
+    "pauli2": 1, "z2xz2": 1, "s3-e": 1, "s3-g": 1, "z2xz2xz2": 2, "s3-f": 3, "s3xz2": 3,
+}
+# Profiles add 2 s per d=12 basis and test no code that the fans do not, so above d=8 only s3 x z2 takes them.
+PROFILED = [f"weyl{d}" for d in range(2, 9)] + [
+    "z3f", *(f"s3-{v}" for v in LATIN_VARIANTS), "z2xz2", "z2xz2xz2", "s3xz2", "pauli2",
+]
+
+
+class TestTagOrbits:
+    @pytest.mark.parametrize("mode", ["numeric", "exact-twill"])
+    def test_fan_system_matches_per_tag_oracle(self, orbit_bases, oracle_fans, graph_builds, mode):
+        orbits = {}
+        for name, basis in orbit_bases.items():
+            if mode != "numeric" and basis.provenance.latin is None:
+                continue
+            # Above d=8 the exact fans meet the numeric oracle: the two graphs agree on these tags (see
+            # TestCommutationGraph), and an exact oracle there would double the time of this test.
+            oracle = per_tag_fans(basis, mode) if mode != "numeric" and basis.d <= 8 else oracle_fans[name]
+            graph_builds.clear()
+            system = fw.fan_system(basis, mode)
+            orbits[name] = len(graph_builds)
+            assert list(system) == list(basis.labels), name
+            assert artifact(system) == artifact({x0: fan for x0, (_, fan) in oracle.items()}), name
+        expected = {name: count for name, count in ORBITS.items() if name in orbits}
+        assert {name: orbits[name] for name in expected} == expected
+
+    def test_profiles_match_per_tag_oracle(self, orbit_bases, oracle_profiles):
+        for name in PROFILED:
+            for variant, profile in oracle_profiles[name].items():
+                assert fw.invariant_profile(orbit_bases[name], variant) == profile, (name, variant)
+
+    def test_transformed_copies_match_per_tag_oracle(self, orbit_bases, oracle_profiles):
+        # A transformed copy is equivalent to its original, so it has the original's profile; the copies up to
+        # d=6 also meet a dense per-tag oracle of their own fans.
+        for name in PROFILED:
+            basis = orbit_bases[name]
+            if basis.d > 8:
+                continue
+            copy = transformed_basis(basis, np.random.default_rng([13, basis.d]))
+            if copy.d <= 6:
+                oracle = {x0: fan for x0, (_, fan) in per_tag_fans(copy).items()}
+                assert artifact(fw.fan_system(copy)) == artifact(oracle), name
+            for variant, profile in oracle_profiles[name].items():
+                assert fw.invariant_profile(copy, variant) == profile, (name, variant)
+        # s3 x z2 has three orbits, so at d=12 new representatives are dense too.  One variant: the spectra are
+        # per tag, and dense ones cost 2 s per variant here.
+        copy = transformed_basis(orbit_bases["s3xz2"], np.random.default_rng(13))
+        assert fw.invariant_profile(copy) == oracle_profiles["s3xz2"]["cue"]
+
+    def test_pauli2_has_one_orbit_and_two_cue_invariants(self, pauli2, graph_builds):
+        # the spectra of c R rotate by arg c, so they are computed per tag
+        profile = fw.invariant_profile(pauli2)
+        assert len(graph_builds) == 1
+        assert len(set(profile)) == 2
+        assert len(set(fw.invariant_profile(pauli2, "pcue"))) == 1
+
+    def test_near_miss_dense_tag_computed_directly(self, orbit_bases, graph_builds):
+        copy = transformed_basis(orbit_bases["s3-f"], np.random.default_rng(0))
+        tags = [fw.tag_at(copy, x0) for x0 in copy.labels]
+        first = fw.basis.tag_members(tags[0], tags[0].labels)
+        rep = fw.basis._Representative(first, None, fw.commutation_graph(tags[0]), None)
+        misses = 0
+        for tag in tags[1:]:
+            sigma, eps = matched(tag, rep)  # every tag finds a bijection among the candidates
+            members = fw.basis.tag_members(tag, tag.labels)
+            overlap = np.abs(np.einsum("ijk,ijk->i", first[sigma].conj(), members)) / copy.d
+            if eps > 1e-12:
+                # |tr(R* W)| / d = sqrt(3) / 2 and ||W - c R||_F = 1.27: not scalar copies, so no transfer
+                assert overlap.min() == pytest.approx(3**0.5 / 2) and eps == pytest.approx(1.268, abs=1e-3)
+                assert not fw.basis._transfer_is_exact(rep.graph, eps, copy.unitarity_max_residual)
+                misses += 1
+        assert misses >= len(tags) // 2
+        system = fw.fan_system(copy)
+        assert len(graph_builds) == 3
+        assert artifact(system) == artifact({x0: fan for x0, (_, fan) in per_tag_fans(copy).items()})
+
+    def test_residual_inside_transfer_bound_computed_directly(self, weyl, graph_builds):
+        # Every member of weyl4 moved by a unitary 1e-7 from the identity: the tags match within eps ~ 2e-6
+        rng = np.random.default_rng(1)
+        basis = weyl(4)
+        ops = {}
+        for x in basis.labels:
+            g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+            w, q = np.linalg.eigh((g + g.conj().T) * 1e-7)
+            ops[x] = (q * np.exp(1j * w)) @ q.conj().T @ basis.operators[x]
+        loose = {"orthogonality": 1e-3, "trace": 1e-3}
+        with fw.tolerances(commutation=1e-3, **loose):
+            near = fw.unitary_basis(basis.labels, ops, fw.Provenance(kind="perturbed"))
+            tags = [fw.tag_at(near, x0) for x0 in near.labels]
+            graph = fw.commutation_graph(tags[0])
+            rep = fw.basis._Representative(fw.basis.tag_members(tags[0], tags[0].labels), None, graph, None)
+            eps = max(matched(tag, rep)[1] for tag in tags[1:])
+            assert 1e-7 < eps < 1e-5
+            fw.fan_system(near)
+            assert len(graph_builds) == 1  # edges lie 1e-3 from the tolerance: one orbit
+        bound = 4 * eps * (1 + near.unitarity_max_residual) + 2 * eps**2
+        with fw.tolerances(commutation=graph.max_edge_residual + bound / 2, **loose):
+            graph_builds.clear()
+            system = fw.fan_system(near)
+            assert len(graph_builds) == len(near.labels)
+            assert artifact(system) == artifact({x0: fan for x0, (_, fan) in per_tag_fans(near).items()})
+
+    def test_refusals_of_the_per_tag_path_are_kept(self, weyl, pauli2):
+        with pytest.raises(ValueError, match="unsupported mode 'exact-crisscross' for a tag graph"):
+            fw.fan_system(weyl(3), "exact-crisscross")
+        with pytest.raises(ValueError, match="exact-twill.*provenance"):
+            fw.fan_system(pauli2, "exact-twill")
+        doc = ser.basis_to_json(weyl(4))
+        doc["operators"]["0,1"], doc["operators"]["1,0"] = doc["operators"]["1,0"], doc["operators"]["0,1"]
+        with pytest.raises(ValueError, match="exact-twill.*does not match operator"):
+            fw.fan_system(ser.basis_from_json(doc), "exact-twill")
+        with pytest.raises(ValueError, match="variant must be one of"):
+            fw.invariant_profile(weyl(3), "plain")
 
 
 class TestHadamardFan:
