@@ -16,7 +16,7 @@ import functools
 import itertools
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -31,8 +31,12 @@ from .combinatorics import (
 from .config import DEFAULT_TOLS, tols
 from .errors import InvariantError
 from .linalg import (
+    _ANGLE_MARGIN,
     _BLOCK_BYTES,
     MonomialForm,
+    _radians_to_rounding_boundary,
+    _rounded_spectra,
+    _spectrum_angles,
     as_square_matrix,
     bipartite_dim,
     commutator_norms,
@@ -127,6 +131,8 @@ def unitary_basis(labels, operators: dict[str, np.ndarray], provenance: Provenan
         raise ValueError("duplicate labels")
     ops = {x: as_square_matrix(operators[x], f"operator {x}") for x in labels}
     d = ops[labels[0]].shape[0]
+    if d < 2:
+        raise InvariantError(f"a unitary basis needs dimension d >= 2, got d = {d}")
     if len(labels) != d * d:
         raise InvariantError(f"a unitary basis on C^{d} needs {d * d} members, got {len(labels)}")
     eye = np.eye(d)
@@ -208,6 +214,7 @@ class Tag:
     d: int
     basis: UnitaryBasis
     form: MonomialForm | None = None  # rows in label order, composed from the basis's form
+    _angles: np.ndarray | None = field(default=None, repr=False)  # unrounded spectra in label order, from _tag_fans
 
 
 def tag_members(tag: Tag, labels) -> MonomialForm | np.ndarray:
@@ -440,12 +447,13 @@ _PHASE_RATIO_MATCH = 1e-12
 
 @dataclass(frozen=True, eq=False)
 class _Representative:
-    """A tag computed directly: its members as matched, its graph and its fan."""
+    """A tag computed directly: its members as matched, its graph, its fan and, for profiles, its members' angles."""
 
     members: MonomialForm | np.ndarray  # the exact-exponent form, the tag's form or its dense stack
     rows: dict[bytes, int] | None  # row key -> row, for a form
     graph: CommutationGraph
     fan: Fan
+    angles: np.ndarray | None = None  # unrounded eigenvalue angles (n, d) of the members
 
 
 def _row_keys(form: MonomialForm) -> list[bytes]:
@@ -461,17 +469,18 @@ def _row_keys(form: MonomialForm) -> list[bytes]:
     return [row.tobytes() for row in np.concatenate([form.perm, rel], axis=1).astype(np.int64)]
 
 
-def _match(members, keys, rep: _Representative) -> tuple[np.ndarray, float] | None:
-    """``(sigma, eps)`` when each tag member ``W_i`` is a unit multiple ``c_i R_sigma(i)`` of a distinct member of
-    the representative, up to ``eps = max_i ||W_i - c_i R_sigma(i)||_F``; else None.
+def _match(members, keys, rep: _Representative) -> tuple[np.ndarray, float, np.ndarray | None] | None:
+    """``(sigma, eps, arg c)`` when each tag member ``W_i`` is a unit multiple ``c_i R_sigma(i)`` of a distinct
+    member of the representative, up to ``eps = max_i ||W_i - c_i R_sigma(i)||_F``; else None.
 
     Forms take candidates from their row keys, which hold the permutation exactly.  Exact exponents match when
-    the keys do, with ``eps = 0``: the exponent difference is then constant per row mod ``order``.  Other forms
-    also need the phase ratio constant per row within ``_PHASE_RATIO_MATCH``.  A dense stack takes candidates
-    from the cross-Gram ``|tr(R_j* W_i)|``, first for ``W_0`` alone: a unit multiple within ``eps`` has
-    ``|tr(R* W)| = d - eps^2 / 2``, and below ``d / 2`` (``eps > sqrt(d)``) no tolerance that tells commuting
-    unitaries from others lets it transfer.  Then ``eps`` is computed from the differences, never as
-    ``sqrt(2 (d - |tr|))``, which cancels to about 1e-7.  A wrong candidate costs time, never a wrong fan.
+    the keys do, with ``eps = 0`` and no ``arg c`` (profiles are numeric): the exponent difference is then constant
+    per row mod ``order``.  Other forms also need the phase ratio, whose first entry gives ``c_i``, constant per
+    row within ``_PHASE_RATIO_MATCH``.  A dense stack takes candidates from the cross-Gram ``|tr(R_j* W_i)|``,
+    first for ``W_0`` alone: a unit multiple within ``eps`` has ``|tr(R* W)| = d - eps^2 / 2``, and below ``d / 2``
+    (``eps > sqrt(d)``) no tolerance that tells commuting unitaries from others lets it transfer.  Then ``eps`` is
+    computed from the differences, never as ``sqrt(2 (d - |tr|))``, which cancels to about 1e-7.  A wrong
+    candidate costs time, never a wrong fan.
     """
     if keys is not None:
         if keys[0] not in rep.rows:
@@ -480,11 +489,12 @@ def _match(members, keys, rep: _Representative) -> tuple[np.ndarray, float] | No
         if (sigma < 0).any() or len(np.unique(sigma)) != len(sigma):
             return None
         if members.exponent is not None:
-            return sigma, 0.0
+            return sigma, 0.0, None
         ratio = members.phase / rep.members.phase[sigma]
         if np.abs(ratio - ratio[:, :1]).max() > _PHASE_RATIO_MATCH:
             return None
         diff = members.phase - ratio[:, :1] / np.abs(ratio[:, :1]) * rep.members.phase[sigma]
+        arg = np.angle(ratio[:, 0])
     else:
         n, d = len(members), members.shape[1]
         flat = rep.members.reshape(n, d * d).conj()
@@ -494,9 +504,10 @@ def _match(members, keys, rep: _Representative) -> tuple[np.ndarray, float] | No
         sigma = np.abs(gram).argmax(axis=0)
         if len(np.unique(sigma)) != n:
             return None
-        diff = members - np.exp(1j * np.angle(gram[sigma, np.arange(n)]))[:, None, None] * rep.members[sigma]
+        arg = np.angle(gram[sigma, np.arange(n)])
+        diff = members - np.exp(1j * arg)[:, None, None] * rep.members[sigma]
     sq = (diff.real**2 + diff.imag**2).reshape(len(sigma), -1).sum(axis=1)
-    return sigma, float(np.sqrt(sq.max()))
+    return sigma, float(np.sqrt(sq.max())), arg
 
 
 def _transfer_is_exact(graph: CommutationGraph, eps: float, delta: float) -> bool:
@@ -521,6 +532,23 @@ def _transfer_is_exact(graph: CommutationGraph, eps: float, delta: float) -> boo
     return graph.max_edge_residual < limit - room and graph.min_non_edge_residual > limit + room
 
 
+def _rotated_angles(rep: _Representative, sigma, eps: float, arg, basis: UnitaryBasis) -> np.ndarray | None:
+    """``theta_rep[sigma(i)] + arg c_i``: the angles of ``c R``, where ``W = W_i``, ``R = R_sigma(i)`` and
+    ``||W - c R||_F <= eps``.  None unless each lies far enough from a rounding boundary to round as W's own.
+
+    W and R are products ``U_a* U_b``, with singular values in ``[1 - delta, 1 + delta]``, so ``A = c Q`` for the
+    unitary polar factor Q of R has ``||c R - A|| <= delta`` and ``||W - A|| <= eps + delta = r``.  A is normal:
+    by Bauer-Fike and continuity along ``A + t (W - A)``, each component of the union of radius-r discs about
+    A's eigenvalues holds as many eigenvalues of W as of ``c R``, and lies within ``2 d r`` of one of ``c R``'s,
+    of modulus at least ``1 - delta``.  So W and ``c R`` round alike if every angle of ``c R`` lies farther than
+    ``pi d r / (1 - delta) <= 2 pi d r`` (if ``delta > 1/2``, farther than 5e-9: none) from a boundary, plus two
+    ``_ANGLE_MARGIN``s: one for W's own guard, one for rounding.  Monomial forms share cycles: their angles move less.
+    """
+    theta = (rep.angles[sigma] + arg[:, None]) % (2 * np.pi)
+    room = 2 * _ANGLE_MARGIN + 2 * np.pi * basis.d * (eps + basis.unitarity_max_residual)
+    return theta if _radians_to_rounding_boundary(theta).min() > room else None
+
+
 def _relabelled_fan(rep: _Representative, sigma: np.ndarray, tag: Tag) -> Fan:
     """The representative's fan with its member ``sigma(i)`` renamed to the tag's i-th label, in canonical order."""
     order = sorted(tag.labels, key=label_sort_key)
@@ -530,7 +558,7 @@ def _relabelled_fan(rep: _Representative, sigma: np.ndarray, tag: Tag) -> Fan:
     return Fan(universe=tag.labels, masses=tuple(tuple(order[k] for k in mass) for mass in masses))
 
 
-def _tag_fans(basis: UnitaryBasis, mode: str):
+def _tag_fans(basis: UnitaryBasis, mode: str, spectra: bool = False):
     """``(tag, fan)`` for every tag in label order, with one graph and one MASS enumeration per orbit of tags.
 
     In a nice error basis ``U_x0* U_x = c U_sigma(x)`` for a unit scalar c (Knill, arXiv:quant-ph/9608048;
@@ -541,7 +569,7 @@ def _tag_fans(basis: UnitaryBasis, mode: str):
     first representative's fan whose transfer is exact (:func:`_transfer_is_exact`).  Any other tag is
     computed directly and becomes a representative, until the kept members would fill ``_BLOCK_BYTES`` as
     dense stacks: a basis whose tags share no orbit then keeps neither d^2 stacks nor d^2 candidates per tag.
-    Representatives live for one call.
+    Representatives live for one call.  With ``spectra`` a tag carries unrounded angles, its own or rotated ones.
     """
     reps: list[_Representative] = []
     exact = None
@@ -558,15 +586,17 @@ def _tag_fans(basis: UnitaryBasis, mode: str):
             match = _match(members, keys, rep)
             if match is not None and _transfer_is_exact(rep.graph, match[1], basis.unitarity_max_residual):
                 fan = _relabelled_fan(rep, match[0], tag)
+                angles = _rotated_angles(rep, *match, basis) if spectra else None
                 break
         else:
             graph = commutation_graph(tag, mode)
             fan = enumerate_mass(graph)
+            angles = _spectrum_angles(members) if spectra else None
             n, d = len(tag.labels), basis.d
             if len(reps) * 16 * n * d * d < _BLOCK_BYTES:
                 rows = None if keys is None else dict(zip(keys, range(n)))
-                reps.append(_Representative(members, rows, graph, fan))
-        yield tag, fan
+                reps.append(_Representative(members, rows, graph, fan, angles))
+        yield (tag if angles is None else replace(tag, _angles=angles)), fan
 
 
 def fan_system(basis: UnitaryBasis, mode: str = "numeric") -> dict[str, Fan]:
@@ -687,7 +717,10 @@ def fan_invariant(tag: Tag, fan: Fan, variant: str = "cue") -> FanInvariant:
     sizes = tuple(sorted(len(m) for m in fan.masses))
     degrees = tuple(sorted(membership_degrees(fan).values()))
     inters = tuple(sorted((a & b).bit_count() for a, b in itertools.combinations(fan.masks, 2)))
-    angles = unit_spectrum_angles(tag_members(tag, fan.universe), fan.universe)
+    if tag._angles is not None and fan.universe == tag.labels:  # set by _tag_fans for invariant_profile
+        angles = _rounded_spectra(tag._angles, fan.universe)
+    else:
+        angles = unit_spectrum_angles(tag_members(tag, fan.universe), fan.universe)
     distinct = {a: a if variant == "cue" else (multiplicity_partition(a), unit_angle_differences(a))
                 for a in set(angles)}  # many members share a spectrum
     spectrum = {y: distinct[a] for y, a in zip(fan.universe, angles)}
@@ -704,12 +737,12 @@ def fan_invariant(tag: Tag, fan: Fan, variant: str = "cue") -> FanInvariant:
 def invariant_profile(basis: UnitaryBasis, variant: str = "cue") -> tuple[FanInvariant, ...]:
     """Sorted multiset of fan invariants over every tag of the basis.
 
-    The fans come from :func:`_tag_fans`, one graph and one MASS enumeration per orbit of tags.  The spectra
-    stay per tag in both variants: a tag member ``c R`` has the spectrum of R rotated by ``arg c``, so the
-    ``cue`` data differ within an orbit (pauli2 has one orbit and two ``cue`` invariants), and the ``pcue``
-    data are built from rounded angles, which a rotation can move by one rounding step.
+    The fans come from :func:`_tag_fans`, one graph, one MASS enumeration and one spectrum computation per orbit
+    of tags: a tag member ``c R`` has the spectrum of R rotated by ``arg c`` (:func:`_rotated_angles`, or computed
+    directly where a rotated angle lies too near a rounding boundary), so pauli2 has one orbit and two ``cue``
+    invariants.  Every tag's angles are rounded by the same code.
     """
-    return tuple(sorted(fan_invariant(tag, fan, variant) for tag, fan in _tag_fans(basis, "numeric")))
+    return tuple(sorted(fan_invariant(tag, fan, variant) for tag, fan in _tag_fans(basis, "numeric", True)))
 
 
 def compare_ub(a: UnitaryBasis, b: UnitaryBasis, variant: str = "cue") -> str:

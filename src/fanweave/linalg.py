@@ -100,24 +100,25 @@ def _cycle_angles(form: MonomialForm) -> np.ndarray:
     return ((np.angle(product) + _TWO_PI * position) / length) % _TWO_PI
 
 
-def unit_spectrum_angles(members, labels=None) -> list[tuple[float, ...]]:
-    """Sorted rounded eigenvalue angles of each member of a stack of unitaries, one tuple per member.
-
-    ``members`` is a stack of shape ``(k, d, d)``, read from one batched ``eigvals`` call, or a
-    :class:`MonomialForm`, read from permutation cycles; a single matrix is passed as ``m[None]``.
-    An angle within ``_ANGLE_MARGIN`` of a rounding boundary raises InvariantError naming the
-    member (its entry in ``labels``, else its index).
-    """
+def _spectrum_angles(members) -> np.ndarray:
+    """Unrounded eigenvalue angles ``(k, d)`` of a stack ``(k, d, d)`` (one batched ``eigvals``) or of a form."""
     if isinstance(members, MonomialForm):
-        theta = _cycle_angles(members)
-    else:
-        m = np.asarray(members, dtype=complex)
-        if m.ndim != 3 or m.shape[1] != m.shape[2]:
-            raise ValueError(f"matrix stack must have shape (k, d, d), got {m.shape}")
-        if not np.isfinite(m).all():
-            raise ValueError("matrix stack contains non-finite entries")
-        theta = np.angle(np.linalg.eigvals(m)) % _TWO_PI
-    margin = np.abs(theta * 10.0**ANGLE_DECIMALS % 1.0 - 0.5) / 10.0**ANGLE_DECIMALS
+        return _cycle_angles(members)
+    m = np.asarray(members, dtype=complex)
+    if m.ndim != 3 or m.shape[1] != m.shape[2]:
+        raise ValueError(f"matrix stack must have shape (k, d, d), got {m.shape}")
+    if not np.isfinite(m).all():
+        raise ValueError("matrix stack contains non-finite entries")
+    return np.angle(np.linalg.eigvals(m)) % _TWO_PI
+
+
+def _radians_to_rounding_boundary(theta: np.ndarray) -> np.ndarray:
+    return np.abs(theta * 10.0**ANGLE_DECIMALS % 1.0 - 0.5) / 10.0**ANGLE_DECIMALS
+
+
+def _rounded_spectra(theta: np.ndarray, labels=None) -> list[tuple[float, ...]]:
+    """Rows of ``theta`` rounded and sorted; an angle within ``_ANGLE_MARGIN`` of a boundary raises, naming its row."""
+    margin = _radians_to_rounding_boundary(theta)
     i, k = np.unravel_index(np.argmin(margin), margin.shape)
     if margin[i, k] < _ANGLE_MARGIN:
         raise InvariantError(
@@ -125,6 +126,12 @@ def unit_spectrum_angles(members, labels=None) -> list[tuple[float, ...]]:
             f"lies {margin[i, k]:.1e} rad from a rounding boundary at {ANGLE_DECIMALS} decimals"
         )
     return [tuple(row) for row in np.sort(_round_angles(theta), axis=1).tolist()]
+
+
+def unit_spectrum_angles(members, labels=None) -> list[tuple[float, ...]]:
+    """Sorted rounded eigenvalue angles of each member of a stack ``(k, d, d)`` of unitaries (a single matrix as
+    ``m[None]``) or of a :class:`MonomialForm`, one tuple per member: :func:`_rounded_spectra` of the angles."""
+    return _rounded_spectra(_spectrum_angles(members), labels)
 
 
 def _round_angles(theta: np.ndarray) -> np.ndarray:

@@ -10,8 +10,9 @@ import fanweave as fw
 from fanweave import serialize as ser
 from fanweave.basis import label_sort_key, pair_label, parse_pair
 from fanweave.combinatorics import LATIN_VARIANTS
+from fanweave.config import ANGLE_DECIMALS
 from fanweave.errors import InvariantError
-from fanweave.linalg import _BLOCK_BYTES, gram_deviation
+from fanweave.linalg import _ANGLE_MARGIN, _BLOCK_BYTES, _spectrum_angles, gram_deviation
 
 from helpers import (
     brute_force_cliques,
@@ -107,6 +108,14 @@ class TestConstructions:
         ops = {"a": np.eye(2), "b": np.eye(2), "c": np.eye(2), "d": np.eye(2)}
         with pytest.raises(InvariantError, match="orthogonality"):
             fw.unitary_basis(list(ops), ops, fw.Provenance(kind="test"))
+
+    def test_dimension_below_two_refused(self):
+        # one 1x1 member is a trace-orthogonal family of d^2 unitaries, but its tag has no members
+        with pytest.raises(InvariantError, match=r"^a unitary basis needs dimension d >= 2, got d = 1$"):
+            fw.unitary_basis(["a"], {"a": np.eye(1)}, fw.Provenance(kind="test"))
+        doc = {"d": 1, "labels": ["a"], "operators": {"a": ser.matrix_to_json(np.eye(1))}, "provenance": {"kind": "x"}}
+        with pytest.raises(InvariantError, match="d >= 2, got d = 1"):
+            ser.basis_from_json(doc)
 
 
 class TestTags:
@@ -613,12 +622,75 @@ def graph_builds(monkeypatch):
     return built
 
 
+@pytest.fixture()
+def eigvals_calls(monkeypatch):
+    """Stack sizes of the batched ``eigvals`` calls, the dense spectra kernel, made anywhere."""
+    calls = []
+    eigvals = np.linalg.eigvals
+
+    def counted(stack):
+        calls.append(len(stack))
+        return eigvals(stack)
+
+    monkeypatch.setattr(np.linalg, "eigvals", counted)
+    return calls
+
+
+@pytest.fixture()
+def direct_spectra(monkeypatch):
+    """Tags whose spectra ``fan_invariant`` computes directly (by ``unit_spectrum_angles``), by tag label."""
+    tags = []
+    spectra = fw.basis.unit_spectrum_angles
+
+    def counted(members, labels=None):
+        tags.append(labels)
+        return spectra(members, labels)
+
+    monkeypatch.setattr(fw.basis, "unit_spectrum_angles", counted)
+    return tags
+
+
+def rephased_near_boundary(basis, distance):
+    """``basis`` with a member x rephased so that, at a tag x0, an eigenvalue angle of x lies ``distance`` past a
+    rounding boundary, while x has no such angle at the first tag, the representative.  Returns the basis, x0, x."""
+    first = basis.labels[0]
+
+    def points(y, x):
+        return np.linalg.eigvals(basis.operators[y].conj().T @ basis.operators[x])
+
+    x0, x = next((x0, x) for x0, x in itertools.permutations(basis.labels[1:], 2)
+                 if np.abs(points(first, x)[:, None] - points(x0, x)).min() > 1e-6)
+    theta = np.angle(points(x0, x)[0]) % (2 * np.pi)
+    scale = 10.0**ANGLE_DECIMALS
+    phi = (np.floor(theta * scale) + 0.5) / scale + distance - theta
+    ops = {**basis.operators, x: np.exp(1j * phi) * basis.operators[x]}
+    return fw.unitary_basis(basis.labels, ops, fw.Provenance(kind="rephased")), x0, x
+
+
+def perturbed_operators(basis) -> dict:
+    """Every member moved by a random unitary 1e-7 from the identity (seeded)."""
+    rng = np.random.default_rng(1)
+    ops = {}
+    for x in basis.labels:
+        g = rng.normal(size=(basis.d, basis.d)) + 1j * rng.normal(size=(basis.d, basis.d))
+        w, q = np.linalg.eigh((g + g.conj().T) * 1e-7)
+        ops[x] = (q * np.exp(1j * w)) @ q.conj().T @ basis.operators[x]
+    return ops
+
+
+def boundary_margin(theta) -> float:
+    """Smallest distance from an angle to a rounding boundary, the midpoints of the ``ANGLE_DECIMALS`` grid."""
+    scaled = np.asarray(theta) * 10.0**ANGLE_DECIMALS
+    return float(np.abs(scaled - np.floor(scaled) - 0.5).min() / 10.0**ANGLE_DECIMALS)
+
+
 def artifact(fans) -> str:
     """The text of a ``fans --all-tags`` artifact."""
     return ser.dumps({"fans": {x0: ser.fan_to_json(fan) for x0, fan in fans.items()}})
 
 
 def matched(tag, rep):
+    """``(sigma, eps, arg c)`` of a dense tag matched against ``rep``."""
     return fw.basis._match(fw.basis.tag_members(tag, tag.labels), None, rep)
 
 
@@ -627,8 +699,7 @@ ORBITS = {
     **{f"weyl{d}": 1 for d in range(2, 13)},
     "pauli2": 1, "z2xz2": 1, "s3-e": 1, "s3-g": 1, "z2xz2xz2": 2, "s3-f": 3, "s3xz2": 3,
 }
-# Profiles add 2 s per d=12 basis and test no code that the fans do not, so above d=8 only s3 x z2 takes them.
-PROFILED = [f"weyl{d}" for d in range(2, 9)] + [
+PROFILED = [f"weyl{d}" for d in range(2, 13)] + [
     "z3f", *(f"s3-{v}" for v in LATIN_VARIANTS), "z2xz2", "z2xz2xz2", "s3xz2", "pauli2",
 ]
 
@@ -658,24 +729,87 @@ class TestTagOrbits:
 
     def test_transformed_copies_match_per_tag_oracle(self, orbit_bases, oracle_profiles):
         # A transformed copy is equivalent to its original, so it has the original's profile; the copies up to
-        # d=6 also meet a dense per-tag oracle of their own fans.
+        # d=6 also meet a dense per-tag oracle of their own fans.  Weyl 9..12 take a second seed.
         for name in PROFILED:
             basis = orbit_bases[name]
-            if basis.d > 8:
+            if basis.d > 8 and not name.startswith("weyl"):
                 continue
-            copy = transformed_basis(basis, np.random.default_rng([13, basis.d]))
-            if copy.d <= 6:
-                oracle = {x0: fan for x0, (_, fan) in per_tag_fans(copy).items()}
-                assert artifact(fw.fan_system(copy)) == artifact(oracle), name
-            for variant, profile in oracle_profiles[name].items():
-                assert fw.invariant_profile(copy, variant) == profile, (name, variant)
-        # s3 x z2 has three orbits, so at d=12 new representatives are dense too.  One variant: the spectra are
-        # per tag, and dense ones cost 2 s per variant here.
+            for seed in [13, 14] if basis.d > 8 else [13]:
+                copy = transformed_basis(basis, np.random.default_rng([seed, basis.d]))
+                if copy.d <= 6:
+                    oracle = {x0: fan for x0, (_, fan) in per_tag_fans(copy).items()}
+                    assert artifact(fw.fan_system(copy)) == artifact(oracle), name
+                for variant, profile in oracle_profiles[name].items():
+                    assert fw.invariant_profile(copy, variant) == profile, (name, seed, variant)
+        # s3 x z2 has three orbits, so at d=12 new representatives are dense too
         copy = transformed_basis(orbit_bases["s3xz2"], np.random.default_rng(13))
-        assert fw.invariant_profile(copy) == oracle_profiles["s3xz2"]["cue"]
+        for variant, profile in oracle_profiles["s3xz2"].items():
+            assert fw.invariant_profile(copy, variant) == profile, variant
+
+    def test_dense_copy_matches_its_own_per_tag_profile(self, weyl, eigvals_calls):
+        # one orbit: one batched eigvals for the representative, where the per-tag oracle makes one per tag
+        copy = transformed_basis(weyl(8), np.random.default_rng([13, 8]))
+        oracle = per_tag_fans(copy)
+        for variant in fw.basis.INVARIANT_VARIANTS:
+            eigvals_calls.clear()
+            profile = fw.invariant_profile(copy, variant)
+            assert eigvals_calls == [63]
+            eigvals_calls.clear()
+            assert profile == per_tag_profile(oracle, variant), variant
+            assert eigvals_calls == [63] * 64
+
+    def test_rotated_angles_match_direct_eigvals(self, weyl, pauli2, s3xz2_basis):
+        # Compared as points on the circle: sorted angle arrays split angles near 0 from angles near 2 pi.  Random
+        # member phases make arg c generic; the members' own spectra are symmetric enough to hide a sign error.
+        rng = np.random.default_rng(2)
+        for basis in (weyl(6), pauli2, s3xz2_basis):
+            copy = transformed_basis(basis, rng)
+            phases = np.exp(2j * np.pi * rng.random(len(copy.labels)))
+            ops = {x: c * copy.operators[x] for x, c in zip(copy.labels, phases)}
+            copy = fw.unitary_basis(copy.labels, ops, copy.provenance)
+            compared = 0
+            for tag, _ in fw.basis._tag_fans(copy, "numeric", True):
+                if tag._angles is None:  # generic phases put some rotated angle near a boundary at some d=12 tags
+                    continue
+                rotated = np.exp(1j * tag._angles)[:, :, None]
+                direct = np.exp(1j * _spectrum_angles(fw.basis.tag_members(tag, tag.labels)))[:, None, :]
+                gap = np.abs(rotated - direct)
+                assert max(gap.min(axis=2).max(), gap.min(axis=1).max()) < 1e-13, tag.x0
+                compared += 1
+            assert compared > 0.8 * len(copy.labels)
+
+    def test_rotated_angle_near_boundary_computed_directly(self, weyl, direct_spectra):
+        # 1.6e-13 past a boundary: outside each tag's own guard (1e-13), inside the rotation's (above 2e-13).
+        # Weyl spectra are roots of unity, so the rephased member's angle recurs at several tags.
+        copy = transformed_basis(weyl(4), np.random.default_rng(3))
+        near, x0, x = rephased_near_boundary(copy, 1.6 * _ANGLE_MARGIN)
+        oracle = per_tag_fans(near)
+        margins = {y: boundary_margin(_spectrum_angles(fw.basis.tag_members(tag, tag.labels)))
+                   for y, (tag, _) in oracle.items()}
+        near_tags = [y for y in near.labels if margins[y] < 1e-11]
+        assert x0 in near_tags and near.labels[0] not in near_tags and len(near_tags) < len(near.labels) - 1
+        assert all(_ANGLE_MARGIN < margins[y] < 2 * _ANGLE_MARGIN for y in near_tags)
+        for variant in fw.basis.INVARIANT_VARIANTS:
+            direct_spectra.clear()
+            profile = fw.invariant_profile(near, variant)
+            assert [set(near.labels).difference(labels) for labels in direct_spectra] == [{y} for y in near_tags]
+            assert profile == per_tag_profile(oracle, variant), variant
+
+    def test_rotated_angle_within_margin_refused_as_per_tag(self, weyl):
+        # the first tag to refuse is x0, a matched tag whose rotated spectra fall back to the direct computation
+        copy = transformed_basis(weyl(4), np.random.default_rng(3))
+        near, x0, x = rephased_near_boundary(copy, 0.5 * _ANGLE_MARGIN)
+        with pytest.raises(InvariantError) as per_tag:
+            per_tag_profile(per_tag_fans(near), "cue")
+        assert f"spectrum of member {x}: eigenvalue angle" in str(per_tag.value)
+        assert "from a rounding boundary at 8 decimals" in str(per_tag.value)
+        for variant in fw.basis.INVARIANT_VARIANTS:
+            with pytest.raises(InvariantError) as profile:
+                fw.invariant_profile(near, variant)
+            assert str(profile.value) == str(per_tag.value), variant
 
     def test_pauli2_has_one_orbit_and_two_cue_invariants(self, pauli2, graph_builds):
-        # the spectra of c R rotate by arg c, so they are computed per tag
+        # the spectra of c R rotate by arg c, so one orbit holds different cue data
         profile = fw.invariant_profile(pauli2)
         assert len(graph_builds) == 1
         assert len(set(profile)) == 2
@@ -688,7 +822,7 @@ class TestTagOrbits:
         rep = fw.basis._Representative(first, None, fw.commutation_graph(tags[0]), None)
         misses = 0
         for tag in tags[1:]:
-            sigma, eps = matched(tag, rep)  # every tag finds a bijection among the candidates
+            sigma, eps, _ = matched(tag, rep)  # every tag finds a bijection among the candidates
             members = fw.basis.tag_members(tag, tag.labels)
             overlap = np.abs(np.einsum("ijk,ijk->i", first[sigma].conj(), members)) / copy.d
             if eps > 1e-12:
@@ -703,13 +837,7 @@ class TestTagOrbits:
 
     def test_residual_inside_transfer_bound_computed_directly(self, weyl, graph_builds):
         # Every member of weyl4 moved by a unitary 1e-7 from the identity: the tags match within eps ~ 2e-6
-        rng = np.random.default_rng(1)
-        basis = weyl(4)
-        ops = {}
-        for x in basis.labels:
-            g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-            w, q = np.linalg.eigh((g + g.conj().T) * 1e-7)
-            ops[x] = (q * np.exp(1j * w)) @ q.conj().T @ basis.operators[x]
+        basis, ops = weyl(4), perturbed_operators(weyl(4))
         loose = {"orthogonality": 1e-3, "trace": 1e-3}
         with fw.tolerances(commutation=1e-3, **loose):
             near = fw.unitary_basis(basis.labels, ops, fw.Provenance(kind="perturbed"))
@@ -726,6 +854,20 @@ class TestTagOrbits:
             system = fw.fan_system(near)
             assert len(graph_builds) == len(near.labels)
             assert artifact(system) == artifact({x0: fan for x0, (_, fan) in per_tag_fans(near).items()})
+
+    def test_rotation_inside_perturbation_bound_computed_directly(self, weyl, graph_builds, direct_spectra):
+        # The fans transfer (one orbit), but eps ~ 2e-6 turns angles by far more than the rounding step, so every
+        # matched tag's spectra are computed directly.
+        basis = weyl(4)
+        with fw.tolerances(commutation=1e-3, orthogonality=1e-3, trace=1e-3):
+            near = fw.unitary_basis(basis.labels, perturbed_operators(basis), fw.Provenance(kind="perturbed"))
+            oracle = per_tag_fans(near)
+            for variant in fw.basis.INVARIANT_VARIANTS:
+                graph_builds.clear()
+                direct_spectra.clear()
+                profile = fw.invariant_profile(near, variant)
+                assert len(graph_builds) == 1 and len(direct_spectra) == len(near.labels) - 1
+                assert profile == per_tag_profile(oracle, variant), variant
 
     def test_refusals_of_the_per_tag_path_are_kept(self, weyl, pauli2):
         with pytest.raises(ValueError, match="unsupported mode 'exact-crisscross' for a tag graph"):

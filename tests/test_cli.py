@@ -402,6 +402,18 @@ def test_io_errors_exit_2(runner, tmp_path, weyl, args):
 
 
 class TestMalformedBasisJson:
+    @pytest.mark.parametrize("args", [["compare", "{path}", "{path}"], ["fans", "{path}", "--tag", "a"],
+                                      ["fans", "{path}", "--all-tags"]])
+    def test_dimension_one_refused(self, runner, tmp_path, args):
+        path = tmp_path / "d1.json"
+        doc = {"d": 1, "labels": ["a"], "operators": {"a": ser.matrix_to_json(np.eye(1))}, "provenance": {"kind": "x"}}
+        ser.write_json(str(path), doc)
+        result = runner.invoke(main, [a.format(path=path) for a in args])
+        assert result.exit_code == 2
+        assert result.output == (
+            f"error: cannot load unitary basis from {path}: a unitary basis needs dimension d >= 2, got d = 1\n"
+        )
+
     @pytest.mark.parametrize("text, field", [
         ('{"labels": 5}', "'labels' must be of type list"),
         ("[1, 2, 3]", "missing field 'labels'"),
