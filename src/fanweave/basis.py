@@ -226,8 +226,24 @@ def tag_members(tag: Tag, labels) -> MonomialForm | np.ndarray:
     return MonomialForm(tag.form.perm[rows], tag.form.phase[rows])
 
 
+# Room for the rounding of the basis Gram and of a tag Gram when the one bounds the other in tag_at.
+_GRAM_ROUNDING = 1e-10
+
+
 def tag_at(basis: UnitaryBasis, x0: str) -> Tag:
-    """Tag of a basis at x0; verifies the residual system is traceless and orthogonal."""
+    """Tag of a basis at x0; verifies the residual system is traceless and orthogonal.
+
+    Orthogonality is read from the basis check when that suffices.  With ``U0 = U_x0`` and ``M = U0 U0* - I``,
+    ``tr(W_a* W_b) - tr(U_a* U_b) = tr(U_a* M U_b)``, and ``|tr(A* M B)| <= ||A||_F ||M||_F ||B||_op``.  For
+    members with ``||U*U - I||_F <= delta``, ``||U||_F^2 <= d + sqrt(d) delta`` and ``||U||_op^2 <= 1 + delta``,
+    and ``||M||_F = ||U0* U0 - I||_F <= delta`` (U0 is square), so every tag Gram entry lies within
+    ``(1 + delta) sqrt(d) delta`` of the basis Gram's.  The dense tag Gram is skipped when the basis's recorded
+    worst Gram deviation plus that bound, plus ``_GRAM_ROUNDING``, stays below ``orthogonality``: then the
+    computed tag Gram would pass too.  The slack covers the rounding of both computed Grams, each entry a sum
+    of d^2 products of entries that are sums of d products: about ``3 d^3 2^-53`` at worst, which it takes
+    where that exceeds the constant (d > 66); measured deviations are at most 1.1e-14.  Otherwise the tag Gram
+    runs, with its refusals and messages.
+    """
     if x0 not in basis.operators:
         raise ValueError(f"tag label {x0!r} is not in the basis")
     i0 = basis.labels.index(x0)
@@ -238,7 +254,10 @@ def tag_at(basis: UnitaryBasis, x0: str) -> Tag:
     if len(failing):
         i = failing[0]
         raise InvariantError(f"tag at {x0}: member {rest[i]} is not traceless, |tr| = {traces[i]:.3e}")
-    _check_hs_family(rest, stack, basis.d, f"tag at {x0}")
+    d, delta = basis.d, basis.unitarity_max_residual
+    bound = basis.gram_max_deviation + (1 + delta) * math.sqrt(d) * delta + max(_GRAM_ROUNDING, 3 * d**3 * 2.0**-53)
+    if not bound < tols().orthogonality:
+        _check_hs_family(rest, stack, d, f"tag at {x0}")
     form = None if basis.form is None else basis.form.tag(i0)
     return Tag(x0=x0, labels=rest, operators=dict(zip(rest, stack)), d=basis.d, basis=basis, form=form)
 
@@ -252,7 +271,9 @@ class CommutationGraph:
     vertices: tuple[str, ...]
     adjacency: np.ndarray  # bool, symmetric, True on the diagonal
     mode: str
-    # The commutation gap, as the graph's residuals measured it (nan for a graph not built from residuals):
+    # The commutation gap, as the graph's residuals measured it (nan for a graph not built from residuals).
+    # Every edge is verified, so the first is exact; on a dense graph the second is a lower bound, exact when no
+    # pair was cleared by the probe of linalg.commutator_norms.
     max_edge_residual: float = math.nan  # largest residual of an edge, 0 when no two vertices are adjacent
     min_non_edge_residual: float = math.nan  # smallest residual of a non-edge, inf when every pair is adjacent
 
@@ -265,12 +286,22 @@ _COMMUTATION_MARGIN = 1e-12
 
 def _numeric_adjacency(labels, members, limit: float) -> tuple[np.ndarray, float, float]:
     """Adjacency where ``||A_a A_b - A_b A_a||_F <= limit`` (0 in the exact modes), from :func:`commutator_norms`,
-    with the largest edge and the smallest non-edge residual.
+    with the largest edge residual and the smallest non-edge residual, or on a dense stack a lower bound of it.
 
     A positive limit is a tolerance: a residual within ``_COMMUTATION_MARGIN`` of it raises InvariantError
     naming the pair.  The exact modes decide at 0 on residuals that are 0 or at least ``sqrt(2)`` exactly.
+
+    A dense stack is probed with the floor ``limit + 2 m``, ``m = _COMMUTATION_MARGIN``, and every decision is
+    the one that computing ``r`` for every pair would give.  A computed probe value ``s`` and residual ``r`` lie
+    within their rounding ``rho`` of their true values ``s* <= r*``; for unit members rho is about 1e-14 at most
+    (commuting pairs measure at most 6.5e-15 for d <= 20), far below m.  A pair cleared by the probe has
+    ``s > limit + 2 m``, so ``r >= s - 2 rho > limit + m``: a non-edge, not refused, as its ``r`` would say.  An
+    edge, or a pair the guard refuses, has ``r < limit + m``, so ``s <= r + 2 rho`` stays at or below the floor
+    and the pair gets its ``r``.  So every edge residual is exact, and a cleared non-edge keeps ``s``: a lower
+    bound of its residual, itself above ``limit + m``.
     """
-    resid = commutator_norms(members)
+    floor = limit + 2 * _COMMUTATION_MARGIN if limit > 0 else math.inf
+    resid = commutator_norms(members, floor)
     upper = np.triu(np.ones(resid.shape, dtype=bool), 1)
     if limit > 0:
         near = np.argwhere(upper & (np.abs(resid - limit) < _COMMUTATION_MARGIN))
@@ -522,8 +553,10 @@ def _transfer_is_exact(graph: CommutationGraph, eps: float, delta: float) -> boo
     form, whose phases are entries of such products, ``delta`` = the basis's worst ``||U*U - I||_F`` will do:
     ``||U||_op^2 <= 1 + ||U*U - I||_F``.  The transfer is exact when every residual of ``graph`` lies farther
     than that bound plus ``2 _COMMUTATION_MARGIN`` from the tolerance: one margin for the tag's own threshold
-    guard, one for the rounding of both computed residuals, far below it.  The exact modes match integer
-    exponents, so their transfer needs no bound.
+    guard, one for the rounding of both computed residuals, far below it.  On a dense graph
+    ``min_non_edge_residual`` is a lower bound (:func:`_numeric_adjacency`); every non-edge residual lies at or
+    above it, so the test stays sound, and a bound too low to clear it only sends the tag to a direct graph.
+    The exact modes match integer exponents, so their transfer needs no bound.
     """
     if graph.mode != "numeric":
         return True

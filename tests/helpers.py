@@ -33,6 +33,13 @@ def transformed_basis(basis: fw.UnitaryBasis, rng) -> fw.UnitaryBasis:
     return fw.unitary_basis(labels, ops, fw.Provenance(kind="transformed"))
 
 
+def conjugated_basis(basis: fw.UnitaryBasis, rng) -> fw.UnitaryBasis:
+    """``V U_x W`` for Haar V and W under the same labels: an equivalent basis that takes the dense path."""
+    v, w = fw.random_unitary(basis.d, rng), fw.random_unitary(basis.d, rng)
+    ops = {x: v @ u @ w for x, u in basis.operators.items()}
+    return fw.unitary_basis(basis.labels, ops, fw.Provenance(kind="transformed"))
+
+
 def brute_force_cliques(labels, adjacency) -> set[frozenset]:
     """Independent maximal-clique oracle: test every subset (small graphs only)."""
     import itertools

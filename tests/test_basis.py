@@ -12,10 +12,11 @@ from fanweave.basis import label_sort_key, pair_label, parse_pair
 from fanweave.combinatorics import LATIN_VARIANTS
 from fanweave.config import ANGLE_DECIMALS
 from fanweave.errors import InvariantError
-from fanweave.linalg import _ANGLE_MARGIN, _BLOCK_BYTES, _spectrum_angles, gram_deviation
+from fanweave.linalg import _ANGLE_MARGIN, _CACHE_BYTES, _spectrum_angles, gram_deviation
 
 from helpers import (
     brute_force_cliques,
+    conjugated_basis,
     frozenset_masses,
     per_tag_fans,
     per_tag_profile,
@@ -141,6 +142,31 @@ class TestTags:
         with pytest.raises(ValueError, match="not in the basis"):
             fw.tag_at(weyl(3), "7,7")
 
+    def test_tag_gram_read_from_the_basis_check(self, weyl, monkeypatch):
+        bases = (weyl(8), conjugated_basis(weyl(8), np.random.default_rng(8)))
+
+        def no_tag_gram(labels, stack, d, what):
+            raise AssertionError(f"{what}: the basis check already bounds this Gram")
+
+        monkeypatch.setattr(fw.basis, "_check_hs_family", no_tag_gram)
+        for basis in bases:
+            for x0 in basis.labels:
+                fw.tag_at(basis, x0)
+
+    def test_tag_gram_near_tolerance_still_checked(self, weyl):
+        # U_{0,0} = I + E with E = s (V + V*) / 2 for V = U_{1,1}: the basis Gram reads |tr(E V)| = 8 s and the
+        # unitarity residual ||2E + E^2||_F is about 4 sqrt(2) s, both just under 1e-9; the tag at 0,0 has Gram
+        # entries tr(U_a* (2E + E^2) U_b), up to 16 s = 1.8e-9, while its traces stay at 8 s
+        basis, s = weyl(16), 0.9e-9 / 8
+        v = basis.operators["1,1"]
+        ops = dict(basis.operators, **{"0,0": np.eye(16) + s * (v + v.conj().T) / 2})
+        near = fw.unitary_basis(basis.labels, ops, fw.Provenance(kind="perturbed"))
+        assert 5e-10 < near.unitarity_max_residual < 1e-9 and 5e-10 < near.gram_max_deviation < 1e-9
+        refusal = r"^tag at 0,0: trace orthogonality fails for pair \(\S+, \S+\): "
+        with pytest.raises(InvariantError, match=refusal + r"\|tr\(U\*U\) - d delta\| = 1\.8\d\de-09$"):
+            fw.tag_at(near, "0,0")
+        fw.tag_at(near, "1,0")  # U_{1,0} is unitary, so this tag's Gram is the basis Gram without 0,0
+
 
 class TestTwill:
     def test_weyl3_congruence_rule(self, weyl):
@@ -240,7 +266,7 @@ class TestCommutationGraph:
     def test_multi_block_numeric_graph_matches_exact(self, weyl):
         basis = weyl(12)
         n, d = len(basis.labels) - 1, basis.d
-        assert _BLOCK_BYTES // (32 * n * d * d) < n  # the dense kernel splits the rows into blocks
+        assert _CACHE_BYTES // (16 * n * d) < n  # the dense kernel's probe splits the rows into blocks
         rng = np.random.default_rng(12)
         v1, v2 = fw.random_unitary(d, rng), fw.random_unitary(d, rng)
         perm = rng.permutation(len(basis.labels))
@@ -255,8 +281,13 @@ class TestCommutationGraph:
 
     def test_dense_graph_memory_bounded(self):
         code = (
-            "import resource, fanweave as fw\n"
-            "fan = fw.fan_representation(fw.build_weyl(16), '0,0')\n"
+            "import resource, numpy as np, fanweave as fw\n"
+            "basis, rng = fw.build_weyl(16), np.random.default_rng(16)\n"
+            "v, w = fw.random_unitary(16, rng), fw.random_unitary(16, rng)\n"
+            "ops = {x: v @ u @ w for x, u in basis.operators.items()}\n"
+            "dense = fw.unitary_basis(basis.labels, ops, fw.Provenance(kind='transformed'))\n"
+            "assert dense.form is None\n"
+            "fan = fw.fan_representation(dense, '0,0')\n"
             "assert len(fan.masses) == 31\n"
             "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
         )
@@ -266,6 +297,23 @@ class TestCommutationGraph:
         assert run.returncode == 0, run.stderr
         peak_mib = int(run.stdout) / 1024  # ru_maxrss is in KiB on Linux
         assert peak_mib < 250, peak_mib
+
+    def test_dense_graphs_match_exact_on_many_tags(self, monomial_bases, weyl, s3xz2_basis, pauli2):
+        # a Haar-conjugated copy under the same labels takes the probe-and-verify kernel on every tag
+        strided = {f"weyl{d}": weyl(d) for d in range(9, 13)} | {"s3xz2": s3xz2_basis}
+        rng = np.random.default_rng(41)
+        for name, basis in {**monomial_bases, **strided}.items():
+            dense = conjugated_basis(basis, rng)
+            assert dense.form is None, name
+            for x0 in basis.labels[:: 3 if name in strided else 1]:
+                exact = fw.commutation_graph(fw.tag_at(basis, x0), mode="exact-twill")
+                numeric = fw.commutation_graph(fw.tag_at(dense, x0))
+                assert numeric.vertices == exact.vertices, (name, x0)
+                assert np.array_equal(numeric.adjacency, exact.adjacency), (name, x0)
+        dense = conjugated_basis(pauli2, rng)
+        for x0 in pauli2.labels:
+            form = fw.commutation_graph(fw.tag_at(pauli2, x0))
+            assert np.array_equal(fw.commutation_graph(fw.tag_at(dense, x0)).adjacency, form.adjacency), x0
 
     def test_residual_within_margin_of_tolerance_refused(self, weyl):
         tag = fw.tag_at(weyl(3), "0,0")
@@ -382,9 +430,9 @@ class TestMonomialForm:
     def test_numeric_mode_uses_the_form_only(self, form_fixtures, monkeypatch):
         kernel = fw.basis.commutator_norms
 
-        def monomial_only(members):
+        def monomial_only(members, *floor):
             assert isinstance(members, fw.linalg.MonomialForm)
-            return kernel(members)
+            return kernel(members, *floor)
 
         def no_eigvals(*args, **kwargs):
             raise AssertionError("eigvals called on a monomial basis")

@@ -154,12 +154,50 @@ class TestCommutatorNorms:
         mats = np.stack([fw.random_unitary(3, rng) for _ in range(7)] + [np.eye(3, dtype=complex)])
         expected = self.per_pair(mats)
         whole = fw.linalg.commutator_norms(mats)
-        monkeypatch.setattr(fw.linalg, "_BLOCK_BYTES", 2 * 32 * 8 * 3 * 3)  # blocks of two rows
+        monkeypatch.setattr(fw.linalg, "_CACHE_BYTES", 2 * 16 * 3 * 3)  # blocks of two pairs
         blocked = fw.linalg.commutator_norms(mats)
         for resid in (whole, blocked):
             assert np.abs(resid - expected).max() <= 1e-12
             assert not np.tril(resid).any()
         assert expected[0, 1] > 1.0 and np.allclose(expected[:, 7], 0.0, atol=1e-12)
+
+    def test_probe_screen_exact_at_or_below_floor_and_a_lower_bound_above(self, monkeypatch):
+        rng = np.random.default_rng(23)
+        u = fw.random_unitary(4, rng)
+        mats = np.stack([fw.random_unitary(4, rng) for _ in range(8)] + [u, u @ u, np.eye(4, dtype=complex)])
+        expected = self.per_pair(mats)
+        floor = 1.0
+        whole = fw.linalg.commutator_norms(mats, floor)
+        monkeypatch.setattr(fw.linalg, "_CACHE_BYTES", 2 * 16 * 11 * 4)  # probe blocks of two rows
+        assert fw.linalg._CACHE_BYTES // (16 * 4 * 4) < 55  # the verified pairs split into blocks too
+        blocked = fw.linalg.commutator_norms(mats, floor)
+        upper = np.triu(np.ones(expected.shape, dtype=bool), 1)
+        below, above = upper & (expected <= floor), upper & (expected > floor)
+        for resid in (whole, blocked):
+            assert not np.tril(resid).any()
+            assert np.abs(resid - expected)[below].max() <= 1e-12
+            assert (resid[above] > floor).all() and (resid[above] <= expected[above] + 1e-12).all()
+            cleared = resid[above] < expected[above] - 0.1
+            assert cleared.any() and not cleared.all()  # the probe clears some pairs above the floor, not all
+        assert below.sum() > 3 and above.sum() > 3  # both sides of the floor, commuting pairs included
+
+    def test_pair_that_fixes_the_probe_is_verified(self):
+        d, rng = 4, np.random.default_rng(29)
+        v = fw.linalg._probe(d)
+        q, _ = np.linalg.qr(np.column_stack([v, rng.normal(size=(d, d - 1)) + 1j * rng.normal(size=(d, d - 1))]))
+        fixing = []
+        for _ in range(2):
+            block = np.eye(d, dtype=complex)
+            block[1:, 1:] = fw.random_unitary(d - 1, rng)
+            fixing.append(q @ block @ q.conj().T)
+        mats = np.stack(fixing)
+        assert np.abs(mats @ v - v).max() <= 1e-14  # A v = B v = v: the probe sees no commutator
+        limit = fw.DEFAULT_TOLS.commutation
+        resid = fw.linalg.commutator_norms(mats, limit + 2 * fw.basis._COMMUTATION_MARGIN)
+        expected = self.per_pair(mats)[0, 1]
+        assert expected > 0.1 and abs(resid[0, 1] - expected) <= 1e-12
+        adj, max_edge, min_non_edge = fw.basis._numeric_adjacency(("a", "b"), mats, limit)
+        assert not adj[0, 1] and (max_edge, min_non_edge) == (0.0, resid[0, 1])
 
     def test_simul_diag_names_first_failing_pair(self):
         z, x, i2 = np.diag([1.0, -1.0]), np.array([[0.0, 1.0], [1.0, 0.0]]), np.eye(2)
