@@ -16,7 +16,7 @@ import functools
 import itertools
 import math
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -32,7 +32,6 @@ from .config import DEFAULT_TOLS, tols
 from .errors import InvariantError
 from .linalg import (
     _ANGLE_MARGIN,
-    _BLOCK_BYTES,
     MonomialForm,
     _radians_to_rounding_boundary,
     _rounded_spectra,
@@ -210,11 +209,15 @@ class Tag:
 
     x0: str
     labels: tuple[str, ...]
-    operators: dict[str, np.ndarray]
     d: int
     basis: UnitaryBasis
     form: MonomialForm | None = None  # rows in label order, composed from the basis's form
-    _angles: np.ndarray | None = field(default=None, repr=False)  # unrounded spectra in label order, from _tag_fans
+
+    @functools.cached_property
+    def operators(self) -> dict[str, np.ndarray]:
+        """``W_x`` by label, formed on first use: a monomial tag's checks, graph and spectra read its form."""
+        ops = self.basis.operators
+        return dict(zip(self.labels, np.matmul(ops[self.x0].conj().T, np.stack([ops[x] for x in self.labels]))))
 
 
 def tag_members(tag: Tag, labels) -> MonomialForm | np.ndarray:
@@ -226,40 +229,40 @@ def tag_members(tag: Tag, labels) -> MonomialForm | np.ndarray:
     return MonomialForm(tag.form.perm[rows], tag.form.phase[rows])
 
 
-# Room for the rounding of the basis Gram and of a tag Gram when the one bounds the other in tag_at.
+# Room for the rounding of the basis Gram and of a tag's traces or Gram when the one bounds the other in tag_at.
 _GRAM_ROUNDING = 1e-10
 
 
 def tag_at(basis: UnitaryBasis, x0: str) -> Tag:
     """Tag of a basis at x0; verifies the residual system is traceless and orthogonal.
 
-    Orthogonality is read from the basis check when that suffices.  With ``U0 = U_x0`` and ``M = U0 U0* - I``,
+    Both checks are read from the basis check when that suffices; no member is formed then.  A trace
+    ``tr(U_x0* U_x)`` is an entry of the basis Gram.  With ``U0 = U_x0`` and ``M = U0 U0* - I``,
     ``tr(W_a* W_b) - tr(U_a* U_b) = tr(U_a* M U_b)``, and ``|tr(A* M B)| <= ||A||_F ||M||_F ||B||_op``.  For
     members with ``||U*U - I||_F <= delta``, ``||U||_F^2 <= d + sqrt(d) delta`` and ``||U||_op^2 <= 1 + delta``,
     and ``||M||_F = ||U0* U0 - I||_F <= delta`` (U0 is square), so every tag Gram entry lies within
-    ``(1 + delta) sqrt(d) delta`` of the basis Gram's.  The dense tag Gram is skipped when the basis's recorded
-    worst Gram deviation plus that bound, plus ``_GRAM_ROUNDING``, stays below ``orthogonality``: then the
-    computed tag Gram would pass too.  The slack covers the rounding of both computed Grams, each entry a sum
-    of d^2 products of entries that are sums of d products: about ``3 d^3 2^-53`` at worst, which it takes
-    where that exceeds the constant (d > 66); measured deviations are at most 1.1e-14.  Otherwise the tag Gram
-    runs, with its refusals and messages.
+    ``(1 + delta) sqrt(d) delta`` of the basis Gram's.  A check is skipped when the basis's recorded worst Gram
+    deviation, plus that bound for the Gram check and ``_GRAM_ROUNDING``, stays below its tolerance: then the
+    computed check would pass too.  The slack covers the rounding of both computed sums, each of d^2 products of
+    entries that are sums of d products: about ``3 d^3 2^-53`` at worst, which it takes where that exceeds the
+    constant (d > 66); measured deviations are at most 1.1e-14.  Otherwise the check runs, with its messages.
     """
     if x0 not in basis.operators:
         raise ValueError(f"tag label {x0!r} is not in the basis")
     i0 = basis.labels.index(x0)
     rest = basis.labels[:i0] + basis.labels[i0 + 1 :]
-    stack = np.matmul(basis.operators[x0].conj().T, np.stack([basis.operators[x] for x in rest]))
-    traces = np.abs(np.trace(stack, axis1=1, axis2=2))
-    failing = np.flatnonzero(traces > tols().trace)
-    if len(failing):
-        i = failing[0]
-        raise InvariantError(f"tag at {x0}: member {rest[i]} is not traceless, |tr| = {traces[i]:.3e}")
     d, delta = basis.d, basis.unitarity_max_residual
-    bound = basis.gram_max_deviation + (1 + delta) * math.sqrt(d) * delta + max(_GRAM_ROUNDING, 3 * d**3 * 2.0**-53)
-    if not bound < tols().orthogonality:
-        _check_hs_family(rest, stack, d, f"tag at {x0}")
-    form = None if basis.form is None else basis.form.tag(i0)
-    return Tag(x0=x0, labels=rest, operators=dict(zip(rest, stack)), d=basis.d, basis=basis, form=form)
+    tag = Tag(x0=x0, labels=rest, d=d, basis=basis, form=None if basis.form is None else basis.form.tag(i0))
+    read = basis.gram_max_deviation + max(_GRAM_ROUNDING, 3 * d**3 * 2.0**-53)
+    if not read < tols().trace:
+        traces = np.abs(np.trace(np.stack([tag.operators[x] for x in rest]), axis1=1, axis2=2))
+        failing = np.flatnonzero(traces > tols().trace)
+        if len(failing):
+            i = failing[0]
+            raise InvariantError(f"tag at {x0}: member {rest[i]} is not traceless, |tr| = {traces[i]:.3e}")
+    if not read + (1 + delta) * math.sqrt(d) * delta < tols().orthogonality:
+        _check_hs_family(rest, np.stack([tag.operators[x] for x in rest]), d, f"tag at {x0}")
+    return tag
 
 
 # ---------------------------------------------------------------------------
@@ -308,7 +311,7 @@ def _numeric_adjacency(labels, members, limit: float) -> tuple[np.ndarray, float
         if len(near):
             a, b = near[0]
             raise InvariantError(
-                f"pair ({labels[a]}, {labels[b]}): commutation residual {resid[a, b]!r} lies within "
+                f"pair ({labels[a]}, {labels[b]}): commutation residual {float(resid[a, b])!r} lies within "
                 f"{_COMMUTATION_MARGIN:.0e} of the commutation tolerance {limit!r}"
             )
     adj = upper & (resid <= limit)
@@ -403,6 +406,15 @@ class Fan:
         except KeyError as exc:
             raise ValueError(f"MASS label {exc.args[0]!r} is not in the fan universe") from None
 
+    @functools.cached_property
+    def _shape(self) -> tuple:
+        """What :func:`fan_invariant` reads of the fan besides spectra: MASS sizes, membership degrees and pairwise
+        intersections, each sorted, which relabelling leaves unchanged, and the MASSes as rows of the universe."""
+        inters = ((a & b).bit_count() for a, b in itertools.combinations(self.masks, 2))
+        row = {y: i for i, y in enumerate(self.universe)}
+        return (tuple(sorted(map(len, self.masses))), tuple(sorted(membership_degrees(self).values())),
+                tuple(sorted(inters)), tuple(tuple(row[y] for y in mass) for mass in self.masses))
+
 
 def enumerate_mass(graph: CommutationGraph) -> Fan:
     """Enumerate every maximal clique of the commutation graph.
@@ -474,6 +486,9 @@ def fan_representation(basis: UnitaryBasis, x0: str | None = None, mode: str = "
 _KEY_SCALE = 2.0**20
 # A monomial member matches its candidate when the ratio of their phases is constant within this, entry by entry.
 _PHASE_RATIO_MATCH = 1e-12
+# Representatives are kept while their members, counted as dense stacks, take fewer bytes than this: a basis whose
+# tags share no orbit then keeps neither d^2 stacks nor d^2 candidates per tag.
+_REPRESENTATIVE_BYTES = 32 * 2**20
 
 
 @dataclass(frozen=True, eq=False)
@@ -592,7 +607,8 @@ def _relabelled_fan(rep: _Representative, sigma: np.ndarray, tag: Tag) -> Fan:
 
 
 def _tag_fans(basis: UnitaryBasis, mode: str, spectra: bool = False):
-    """``(tag, fan)`` for every tag in label order, with one graph and one MASS enumeration per orbit of tags.
+    """``(tag, rep, sigma, angles)`` for every tag in label order, with one graph and one MASS enumeration per orbit
+    of tags: the tag's member i is a unit multiple of ``rep``'s member ``sigma(i)``; sigma is None when it is ``rep``.
 
     In a nice error basis ``U_x0* U_x = c U_sigma(x)`` for a unit scalar c (Knill, arXiv:quant-ph/9608048;
     Klappenecker and Roetteler, IEEE Trans. Inf. Theory 48 (2002) 2392), so every tag is a relabelled, rephased
@@ -600,9 +616,8 @@ def _tag_fans(basis: UnitaryBasis, mode: str, spectra: bool = False):
     through sigma.  Each tag still runs :func:`tag_at`.  It is matched against the tags computed so far in this
     call (:func:`_match`; in ``exact-twill`` on the exponent form read once from the provenance), and takes the
     first representative's fan whose transfer is exact (:func:`_transfer_is_exact`).  Any other tag is
-    computed directly and becomes a representative, until the kept members would fill ``_BLOCK_BYTES`` as
-    dense stacks: a basis whose tags share no orbit then keeps neither d^2 stacks nor d^2 candidates per tag.
-    Representatives live for one call.  With ``spectra`` a tag carries unrounded angles, its own or rotated ones.
+    computed directly and becomes a representative, up to ``_REPRESENTATIVE_BYTES``.  Representatives live for one
+    call.  With ``spectra``, angles are the tag's unrounded eigenvalue angles: rotated ones or its own.
     """
     reps: list[_Representative] = []
     exact = None
@@ -618,18 +633,19 @@ def _tag_fans(basis: UnitaryBasis, mode: str, spectra: bool = False):
         for rep in reps:
             match = _match(members, keys, rep)
             if match is not None and _transfer_is_exact(rep.graph, match[1], basis.unitarity_max_residual):
-                fan = _relabelled_fan(rep, match[0], tag)
-                angles = _rotated_angles(rep, *match, basis) if spectra else None
+                sigma, angles = match[0], _rotated_angles(rep, *match, basis) if spectra else None
                 break
         else:
-            graph = commutation_graph(tag, mode)
+            sigma, graph = None, commutation_graph(tag, mode)
             fan = enumerate_mass(graph)
             angles = _spectrum_angles(members) if spectra else None
             n, d = len(tag.labels), basis.d
-            if len(reps) * 16 * n * d * d < _BLOCK_BYTES:
-                rows = None if keys is None else dict(zip(keys, range(n)))
-                reps.append(_Representative(members, rows, graph, fan, angles))
-        yield (tag if angles is None else replace(tag, _angles=angles)), fan
+            rep = _Representative(members, None if keys is None else dict(zip(keys, range(n))), graph, fan, angles)
+            if len(reps) * 16 * n * d * d < _REPRESENTATIVE_BYTES:
+                reps.append(rep)
+        if spectra and angles is None:  # a rotated angle lies too near a rounding boundary
+            angles = _spectrum_angles(members)
+        yield tag, rep, sigma, angles
 
 
 def fan_system(basis: UnitaryBasis, mode: str = "numeric") -> dict[str, Fan]:
@@ -638,7 +654,8 @@ def fan_system(basis: UnitaryBasis, mode: str = "numeric") -> dict[str, Fan]:
     The fans, and the bytes of their artifacts, are those of :func:`fan_representation` at each tag; see
     :func:`_tag_fans` for why a fan carries over within an orbit.
     """
-    return {tag.x0: fan for tag, fan in _tag_fans(basis, mode)}
+    return {tag.x0: rep.fan if sigma is None else _relabelled_fan(rep, sigma, tag)
+            for tag, rep, sigma, _ in _tag_fans(basis, mode)}
 
 
 def membership_degrees(fan: Fan) -> dict[str, int]:
@@ -742,40 +759,40 @@ class FanInvariant:
     spectra: tuple
 
 
+def _invariant(variant: str, fan: Fan, spectra) -> FanInvariant:
+    """The invariant of a fan whose members have the rounded ``spectra``, in the order of its universe."""
+    *shape, rows = fan._shape
+    distinct = {a: a if variant == "cue" else (multiplicity_partition(a), unit_angle_differences(a))
+                for a in set(spectra)}  # many members share a spectrum
+    return FanInvariant(variant, *shape, tuple(sorted(tuple(sorted(distinct[spectra[i]] for i in m)) for m in rows)))
+
+
 def fan_invariant(tag: Tag, fan: Fan, variant: str = "cue") -> FanInvariant:
     if variant not in INVARIANT_VARIANTS:
         raise ValueError(f"variant must be one of {INVARIANT_VARIANTS}")
     if set(fan.universe) != set(tag.labels):
         raise ValueError("fan does not belong to this tag")
-    sizes = tuple(sorted(len(m) for m in fan.masses))
-    degrees = tuple(sorted(membership_degrees(fan).values()))
-    inters = tuple(sorted((a & b).bit_count() for a, b in itertools.combinations(fan.masks, 2)))
-    if tag._angles is not None and fan.universe == tag.labels:  # set by _tag_fans for invariant_profile
-        angles = _rounded_spectra(tag._angles, fan.universe)
-    else:
-        angles = unit_spectrum_angles(tag_members(tag, fan.universe), fan.universe)
-    distinct = {a: a if variant == "cue" else (multiplicity_partition(a), unit_angle_differences(a))
-                for a in set(angles)}  # many members share a spectrum
-    spectrum = {y: distinct[a] for y, a in zip(fan.universe, angles)}
-    spectra = tuple(sorted(tuple(sorted(spectrum[y] for y in mass)) for mass in fan.masses))
-    return FanInvariant(
-        variant=variant,
-        mass_size_multiset=sizes,
-        membership_degree_sequence=degrees,
-        pairwise_intersection_multiset=inters,
-        spectra=spectra,
-    )
+    fan._shape  # a fan with a repeated or stray label is refused before any spectrum
+    return _invariant(variant, fan, unit_spectrum_angles(tag_members(tag, fan.universe), fan.universe))
 
 
 def invariant_profile(basis: UnitaryBasis, variant: str = "cue") -> tuple[FanInvariant, ...]:
     """Sorted multiset of fan invariants over every tag of the basis.
 
-    The fans come from :func:`_tag_fans`, one graph, one MASS enumeration and one spectrum computation per orbit
-    of tags: a tag member ``c R`` has the spectrum of R rotated by ``arg c`` (:func:`_rotated_angles`, or computed
-    directly where a rotated angle lies too near a rounding boundary), so pauli2 has one orbit and two ``cue``
-    invariants.  Every tag's angles are rounded by the same code.
+    The fans come from :func:`_tag_fans`, one graph, one MASS enumeration, one fan shape and one spectrum
+    computation per orbit of tags: a tag member ``c R`` has the spectrum of R rotated by ``arg c``
+    (:func:`_rotated_angles`, or computed directly where a rotated angle lies too near a rounding boundary), so
+    pauli2 has one orbit and two ``cue`` invariants.  Each tag's angles are rounded in its label order.
     """
-    return tuple(sorted(fan_invariant(tag, fan, variant) for tag, fan in _tag_fans(basis, "numeric", True)))
+    if variant not in INVARIANT_VARIANTS:
+        raise ValueError(f"variant must be one of {INVARIANT_VARIANTS}")
+    invariants = []
+    for tag, rep, sigma, angles in _tag_fans(basis, "numeric", True):
+        spectra = _rounded_spectra(angles, tag.labels)
+        if sigma is not None:  # the representative's row j is the tag's row sigma^-1(j)
+            spectra = [spectra[i] for i in np.argsort(sigma).tolist()]
+        invariants.append(_invariant(variant, rep.fan, spectra))
+    return tuple(sorted(invariants))
 
 
 def compare_ub(a: UnitaryBasis, b: UnitaryBasis, variant: str = "cue") -> str:
@@ -789,8 +806,6 @@ def compare_ub(a: UnitaryBasis, b: UnitaryBasis, variant: str = "cue") -> str:
     """
     if a.d != b.d:
         raise ValueError(f"dimension mismatch: {a.d} != {b.d}")
-    if variant not in INVARIANT_VARIANTS:
-        raise ValueError(f"variant must be one of {INVARIANT_VARIANTS}")
     if invariant_profile(a, variant) != invariant_profile(b, variant):
         return INEQUIVALENT
     return NOT_DISTINGUISHED

@@ -123,7 +123,7 @@ def _rounded_spectra(theta: np.ndarray, labels=None) -> list[tuple[float, ...]]:
     i, k = np.unravel_index(np.argmin(margin), margin.shape)
     if margin[i, k] < _ANGLE_MARGIN:
         raise InvariantError(
-            f"spectrum of member {i if labels is None else labels[i]}: eigenvalue angle {theta[i, k]!r} "
+            f"spectrum of member {i if labels is None else labels[i]}: eigenvalue angle {float(theta[i, k])!r} "
             f"lies {margin[i, k]:.1e} rad from a rounding boundary at {ANGLE_DECIMALS} decimals"
         )
     return [tuple(row) for row in np.sort(_round_angles(theta), axis=1).tolist()]
@@ -181,9 +181,8 @@ def _square_family(family) -> tuple[list[np.ndarray], int]:
     return mats, d
 
 
-_BLOCK_BYTES = 32 * 2**20
 # One temporary of the dense commutator kernel: blocks this small stay in cache, 1.5-3x faster at d = 16..24
-# than blocks that fill _BLOCK_BYTES.
+# than blocks of 32 MiB.
 _CACHE_BYTES = 2**20
 _PROBE_SEED = 0x5EED
 
@@ -208,8 +207,8 @@ def commutator_norms(members, floor: float = math.inf) -> np.ndarray:
     vertically ((n d) x d), so ``rows[a] @ (A_b v)`` is ``A_a A_b v``; one block of rows ``a`` is probed at a
     time, against ``b`` at or after the block's first row, with O(block n d) temporaries.  *Verify:* a pair with
     ``s_ab > floor`` keeps ``s_ab``; every other pair gets its Frobenius residual from batched products of the
-    pairs' members, a block of pairs at a time.  Each temporary holds about ``_CACHE_BYTES``, far under
-    ``_BLOCK_BYTES``.  With the default floor every pair is verified and nothing is probed.
+    pairs' members, a block of pairs at a time.  Each temporary holds about ``_CACHE_BYTES``.  With the default
+    floor every pair is verified and nothing is probed.
     """
     if isinstance(members, MonomialForm):
         return _monomial_commutator_norms(members)
@@ -250,8 +249,8 @@ def _monomial_commutator_norms(form: MonomialForm) -> np.ndarray:
     """
     perm, phase, exponent = form.perm, form.phase, form.exponent
     n, d = perm.shape
-    # Blocks of about 2^14 (a, b, k) entries keep the temporaries (about 2 MiB, far under _BLOCK_BYTES)
-    # in cache: 3x faster than one block on a weyl12 tag.
+    # Blocks of about 2^14 (a, b, k) entries keep the temporaries (about 2 MiB) in cache: 3x faster than one
+    # block on a weyl12 tag.
     block = max(1, 2**14 // (n * d))
     resid = np.zeros((n, n))
     for start in range(0, n, block):
@@ -456,7 +455,7 @@ def _schmidt_probabilities(psi) -> np.ndarray:
     d = bipartite_dim(v)
     nrm = np.linalg.norm(v)
     if abs(nrm - 1.0) > tols().vector_norm:
-        raise ValueError(f"vector is not normalized: ||psi|| = {nrm!r}")
+        raise ValueError(f"vector is not normalized: ||psi|| = {float(nrm)!r}")
     sv = np.linalg.svd(v.reshape(d, d), compute_uv=False)
     return sv**2
 

@@ -1,5 +1,6 @@
 import itertools
 import os
+import re
 import subprocess
 import sys
 
@@ -167,6 +168,30 @@ class TestTags:
             fw.tag_at(near, "0,0")
         fw.tag_at(near, "1,0")  # U_{1,0} is unitary, so this tag's Gram is the basis Gram without 0,0
 
+    def test_monomial_tag_operators_formed_on_first_use(self, weyl, pauli2, s3xz2_basis):
+        for basis in (weyl(5), pauli2, s3xz2_basis):
+            for x0 in basis.labels[:: max(1, len(basis.labels) // 7)]:
+                tag = fw.tag_at(basis, x0)
+                assert tag.form is not None and "operators" not in vars(tag), x0
+                eager = np.matmul(basis.operators[x0].conj().T, np.stack([basis.operators[x] for x in tag.labels]))
+                lazy = np.stack([tag.operators[x] for x in tag.labels])
+                assert lazy.tobytes() == eager.tobytes(), x0
+                assert tag.operators is tag.operators  # formed once
+
+    def test_trace_check_runs_when_the_basis_gram_does_not_clear_it(self, weyl):
+        # U_{0,0} = I + s (V + V*) / 2 for V = U_{1,1}: the off-diagonal entries of size s leave the basis monomial,
+        # with U_{0,0} = I in its form, while the dense members 1,1 and 3,3 of the tag at 0,0 have |tr| = 2 s = 1e-10
+        basis, s = weyl(4), 5e-11
+        v = basis.operators["1,1"]
+        ops = dict(basis.operators, **{"0,0": np.eye(4) + s * (v + v.conj().T) / 2})
+        near = fw.unitary_basis(basis.labels, ops, fw.Provenance(kind="perturbed"))
+        assert near.form is not None and 5e-11 < near.gram_max_deviation < 2e-10
+        assert "operators" not in vars(fw.tag_at(near, "0,0"))  # the basis Gram clears trace = 1e-9
+        with fw.tolerances(trace=1e-11):
+            with pytest.raises(InvariantError) as refusal:
+                fw.tag_at(near, "0,0")
+        assert str(refusal.value) == "tag at 0,0: member 1,1 is not traceless, |tr| = 1.000e-10"
+
 
 class TestTwill:
     def test_weyl3_congruence_rule(self, weyl):
@@ -322,7 +347,8 @@ class TestCommutationGraph:
         r, margin = resid[a, b], fw.basis._COMMUTATION_MARGIN
         for offset in (-0.5 * margin, 0.5 * margin):
             with fw.tolerances(commutation=r + offset):
-                named = rf"pair \({tag.labels[a]}, {tag.labels[b]}\): .* within 1e-12"
+                number = re.escape(repr(float(r)))  # a plain number, not a numpy scalar's repr
+                named = rf"pair \({tag.labels[a]}, {tag.labels[b]}\): commutation residual {number} lies within 1e-12"
                 with pytest.raises(InvariantError, match=named):
                     fw.commutation_graph(tag)
         for offset in (-2 * margin, 2 * margin):
@@ -686,15 +712,21 @@ def eigvals_calls(monkeypatch):
 
 @pytest.fixture()
 def direct_spectra(monkeypatch):
-    """Tags whose spectra ``fan_invariant`` computes directly (by ``unit_spectrum_angles``), by tag label."""
-    tags = []
-    spectra = fw.basis.unit_spectrum_angles
+    """Tags whose spectra the library computes from their own members (by ``_spectrum_angles``), by tag label:
+    representatives, and matched tags whose rotated angles were refused.  The oracle's spectra are not counted."""
+    tags, current = [], []
+    tag_at, spectra = fw.basis.tag_at, fw.basis._spectrum_angles
 
-    def counted(members, labels=None):
-        tags.append(labels)
-        return spectra(members, labels)
+    def tracked(basis, x0):
+        current[:] = [x0]
+        return tag_at(basis, x0)
 
-    monkeypatch.setattr(fw.basis, "unit_spectrum_angles", counted)
+    def counted(members):
+        tags.extend(current)
+        return spectra(members)
+
+    monkeypatch.setattr(fw.basis, "tag_at", tracked)
+    monkeypatch.setattr(fw.basis, "_spectrum_angles", counted)
     return tags
 
 
@@ -794,6 +826,17 @@ class TestTagOrbits:
         for variant, profile in oracle_profiles["s3xz2"].items():
             assert fw.invariant_profile(copy, variant) == profile, variant
 
+    def test_differently_transformed_copies_not_distinguished(self, orbit_bases):
+        # Dense against dense: both sides take the cross-Gram matcher and the rotated spectra, the worst case for a
+        # false "inequivalent".
+        for name, basis in orbit_bases.items():
+            if basis.d > 8:
+                continue
+            one, two = (transformed_basis(basis, np.random.default_rng([seed, basis.d])) for seed in (31, 32))
+            assert one.form is None and two.form is None, name
+            for variant in fw.basis.INVARIANT_VARIANTS:
+                assert fw.compare_ub(one, two, variant) == fw.NOT_DISTINGUISHED, (name, variant)
+
     def test_dense_copy_matches_its_own_per_tag_profile(self, weyl, eigvals_calls):
         # one orbit: one batched eigvals for the representative, where the per-tag oracle makes one per tag
         copy = transformed_basis(weyl(8), np.random.default_rng([13, 8]))
@@ -806,9 +849,17 @@ class TestTagOrbits:
             assert profile == per_tag_profile(oracle, variant), variant
             assert eigvals_calls == [63] * 64
 
-    def test_rotated_angles_match_direct_eigvals(self, weyl, pauli2, s3xz2_basis):
+    def test_rotated_angles_match_direct_eigvals(self, weyl, pauli2, s3xz2_basis, monkeypatch):
         # Compared as points on the circle: sorted angle arrays split angles near 0 from angles near 2 pi.  Random
         # member phases make arg c generic; the members' own spectra are symmetric enough to hide a sign error.
+        rotations = []
+        rotate = fw.basis._rotated_angles
+
+        def recorded(*args):
+            rotations.append(rotate(*args))
+            return rotations[-1]
+
+        monkeypatch.setattr(fw.basis, "_rotated_angles", recorded)
         rng = np.random.default_rng(2)
         for basis in (weyl(6), pauli2, s3xz2_basis):
             copy = transformed_basis(basis, rng)
@@ -816,10 +867,11 @@ class TestTagOrbits:
             ops = {x: c * copy.operators[x] for x, c in zip(copy.labels, phases)}
             copy = fw.unitary_basis(copy.labels, ops, copy.provenance)
             compared = 0
-            for tag, _ in fw.basis._tag_fans(copy, "numeric", True):
-                if tag._angles is None:  # generic phases put some rotated angle near a boundary at some d=12 tags
+            for tag, _, sigma, angles in fw.basis._tag_fans(copy, "numeric", True):
+                # generic phases put some rotated angle near a boundary at some d=12 tags: those are computed directly
+                if sigma is None or angles is not rotations[-1]:
                     continue
-                rotated = np.exp(1j * tag._angles)[:, :, None]
+                rotated = np.exp(1j * angles)[:, :, None]
                 direct = np.exp(1j * _spectrum_angles(fw.basis.tag_members(tag, tag.labels)))[:, None, :]
                 gap = np.abs(rotated - direct)
                 assert max(gap.min(axis=2).max(), gap.min(axis=1).max()) < 1e-13, tag.x0
@@ -840,7 +892,7 @@ class TestTagOrbits:
         for variant in fw.basis.INVARIANT_VARIANTS:
             direct_spectra.clear()
             profile = fw.invariant_profile(near, variant)
-            assert [set(near.labels).difference(labels) for labels in direct_spectra] == [{y} for y in near_tags]
+            assert direct_spectra == [near.labels[0], *near_tags]  # the representative, then the tags near a boundary
             assert profile == per_tag_profile(oracle, variant), variant
 
     def test_rotated_angle_within_margin_refused_as_per_tag(self, weyl):
@@ -914,7 +966,8 @@ class TestTagOrbits:
                 graph_builds.clear()
                 direct_spectra.clear()
                 profile = fw.invariant_profile(near, variant)
-                assert len(graph_builds) == 1 and len(direct_spectra) == len(near.labels) - 1
+                assert len(graph_builds) == 1
+                assert direct_spectra == list(near.labels)  # the representative, then every matched tag
                 assert profile == per_tag_profile(oracle, variant), variant
 
     def test_refusals_of_the_per_tag_path_are_kept(self, weyl, pauli2):
